@@ -21,6 +21,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import sys
+
+# make the checkout importable when run as ``python jobs/<name>.py``
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 def _resolve(in_dir: str, table: str) -> str:

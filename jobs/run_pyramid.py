@@ -24,6 +24,9 @@ import json
 import os
 import sys
 
+# make the checkout importable when run as ``python jobs/<name>.py``
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
 
 def parse_zooms(text: str | None) -> list[int] | None:
     if not text:

@@ -29,6 +29,9 @@ import os
 import sys
 import time
 
+# make the checkout importable when run as ``python jobs/<name>.py``
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
 PAGES_DIR = sys.argv[1] if len(sys.argv) > 1 else "/tmp/graft_pages_800000"
 
 

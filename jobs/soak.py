@@ -28,11 +28,15 @@ import argparse
 import json
 import os
 import shutil
+import sys
 import threading
 import time
 
 import numpy as np
 import pyarrow as pa
+
+# make the checkout importable when run as ``python jobs/<name>.py``
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 def mix64(x: np.ndarray) -> np.ndarray:

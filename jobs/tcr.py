@@ -23,6 +23,9 @@ import json
 import os
 import sys
 
+# make the checkout importable when run as ``python jobs/<name>.py``
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
 
 def cmd_get_bbox(args) -> None:
     from tilecloud_chain_ray.config_yaml import load_config

@@ -8,9 +8,12 @@ Stage order mirrors the reference chain
   hash-drop -> finalize/store (WMTS layout and/or Parquet tile table)
 
 Everything is a lazy ``Dataset`` transform; the streaming executor
-pipelines render/split/write with backpressure.  Drops stay in-band as
-``status`` rows so run counters come from one small groupby instead of
-mutable driver-side counters (``__init__.py:2399-2439`` analog).
+pipelines render/split/write with backpressure.  Render through
+finalize is one per-batch function (``tile_chain``), so a metatile's
+pixels live only inside the task that renders and splits it.  Drops
+stay in-band as ``status`` rows so run counters come from one small
+groupby instead of mutable driver-side counters
+(``__init__.py:2399-2439`` analog).
 """
 
 from __future__ import annotations
@@ -66,6 +69,43 @@ def fetch_status_to_inband(batch: pa.Table) -> pa.Table:
         pa.string(),
     )
     return batch.drop_columns(["fetch_status"]).append_column("status", statuses)
+
+
+# metatiles whose pixels one ``tile_chain`` call holds at a time:
+# 8 x 21 MiB at meta_size 8, buffer 128 and 256 px tiles
+PIXEL_BATCH = 8
+
+
+def tile_chain(layer: Layer, empty_meta, empty_tile, render=None):
+    """The per-batch chain render -> metatile hash-drop -> split -> tile
+    hash-drop -> finalize, shared by ``generate_tiles`` and the
+    resumable pipeline.
+
+    ``render`` turns coord rows into (meta)tile rows; without it the
+    input rows already are (meta)tiles, e.g. fetched from a WMS server.
+    A locally rendered metatile stays raw RGBA pixels from the renderer
+    to the splitter inside one call, so it is never PNG-encoded and
+    never enters the object store.  Meta-layer batches run
+    ``PIXEL_BATCH`` rows at a time, which bounds the pixels a task holds
+    whatever the batch size.
+    """
+    meta_drop = make_hash_dropper(empty_meta, "meta_dropped") if layer.meta else None
+    tile_drop = make_hash_dropper(empty_tile, "dropped")
+    splitter = MetatileSplitter(layer)
+
+    def render_split(batch: pa.Table) -> pa.Table:
+        step = PIXEL_BATCH if layer.meta else max(batch.num_rows, 1)
+        parts = []
+        for start in range(0, max(batch.num_rows, 1), step):
+            part = batch.slice(start, step)
+            if render is not None:
+                part = render(part)
+            if meta_drop is not None:
+                part = meta_drop(part)
+            parts.append(finalize_tiles(tile_drop(splitter(part))))
+        return parts[0] if len(parts) == 1 else pa.concat_tables(parts)
+
+    return render_split
 
 
 @dataclass
@@ -176,10 +216,10 @@ def generate_tiles(
 
     # the renderer draws the layer's own source geometries (the WMS/Mapnik
     # data analog), independent of the seeding bbox/geometry filter.
-    # Renderer/splitter state is cheap (decoded geoms via one broadcast
-    # ray.put, color table) -> task-based stages with a per-process cache
-    # fuse into one operator and reuse warm workers; a true actor pool
-    # only pays off for heavy state (see stages/pip_join.py).
+    # Renderer state is cheap (decoded geoms via one broadcast ray.put,
+    # color table) -> a task-based stage with a per-process cache, one
+    # fused operator on warm workers; a true actor pool only pays off
+    # for heavy state (see stages/pip_join.py).
     from tilecloud_chain_ray.util import process_cached
 
     if wms_url is not None:
@@ -191,9 +231,10 @@ def generate_tiles(
         # the error-budget / error-list stages like any other failure.
         from tilecloud_chain_ray.stages.fetch import fetch_tiles
 
-        rendered = fetch_tiles(
+        rows = fetch_tiles(
             coords, layer, wms_url, **(wms_kwargs or {})
         ).map_batches(fetch_status_to_inband, batch_format="pyarrow")
+        render_fn = None
     else:
         geoms_ref = ray.put(
             list(render_geometries) if render_geometries is not None else list(layer.geometries)
@@ -207,29 +248,12 @@ def generate_tiles(
             )
             return r(batch)
 
-        rendered = coords.map_batches(
-            render_fn, batch_format="pyarrow", batch_size=render_batch_size
-        )
-    if layer.meta:
-        rendered = rendered.map_batches(
-            make_hash_dropper(empty_meta, "meta_dropped"),
-            batch_format="pyarrow",
-            batch_size=render_batch_size,
-        )
-
-    split_key = ("splitter", layer.name, layer.meta, layer.meta_size, layer.meta_buffer, layer.grid.tile_size)
-
-    def split_fn(batch: pa.Table) -> pa.Table:
-        s = process_cached(split_key, lambda: MetatileSplitter(layer))
-        return s(batch)
-
-    tiles = rendered.map_batches(
-        split_fn, batch_format="pyarrow", batch_size=render_batch_size
+        rows = coords
+    tiles = rows.map_batches(
+        tile_chain(layer, empty_meta, empty_tile, render_fn),
+        batch_format="pyarrow",
+        batch_size=render_batch_size,
     )
-    tiles = tiles.map_batches(
-        make_hash_dropper(empty_tile, "dropped"), batch_format="pyarrow"
-    )
-    tiles = tiles.map_batches(finalize_tiles, batch_format="pyarrow")
 
     if out_wmts is not None:
 

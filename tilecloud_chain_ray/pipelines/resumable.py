@@ -3,11 +3,11 @@
 The coordinate space is split into deterministic partitions (chunks of
 enumeration intervals).  Each partition runs the full per-row chain
 (filter -> render -> meta-drop -> split -> tile-drop -> finalize) as one
-Ray task via ``groupby(partition_id).map_groups`` — batch functions are
-the same pure pa.Table transforms the streaming pipeline uses — and
-commits: parquet part file (atomic rename), then lineage record (atomic
-rename).  ``generate_resumable`` skips partitions whose lineage says
-``done``, so a killed run resumes without recomputation (north rule).
+Ray task — render through finalize is the streaming pipeline's own
+``tile_chain`` — and commits: parquet part file (atomic rename), then
+lineage record (atomic rename).  ``generate_resumable`` skips
+partitions whose lineage says ``done``, so a killed run resumes without
+recomputation (north rule).
 
 Fault injection for tests: ``fail_partitions`` raises inside those
 partitions before the commit point.
@@ -24,6 +24,7 @@ import ray
 
 from tilecloud_chain_ray.config import Layer
 from tilecloud_chain_ray.coords import dense_intervals
+from tilecloud_chain_ray.pipelines.generate import tile_chain
 from tilecloud_chain_ray.sinks import lineage as lin
 from tilecloud_chain_ray.sources.enumerate import (
     expand_intervals_batch,
@@ -31,13 +32,8 @@ from tilecloud_chain_ray.sources.enumerate import (
     split_interval,
 )
 from tilecloud_chain_ray.stages.geom_filter import CoordGeomFilter
-from tilecloud_chain_ray.stages.hashdrop import (
-    empty_signatures,
-    finalize_tiles,
-    make_hash_dropper,
-)
+from tilecloud_chain_ray.stages.hashdrop import empty_signatures
 from tilecloud_chain_ray.stages.render import GeometryRenderer
-from tilecloud_chain_ray.stages.split import MetatileSplitter
 from tilecloud_chain_ray.util import read_parquet_clean
 
 
@@ -83,12 +79,8 @@ def _process_partition(
         empty_meta = layer.empty_metatile or sig_meta
         empty_tile = layer.empty_tile or sig_tile
 
-        rendered = GeometryRenderer(layer, list(layer.geometries))(coords)
-        if layer.meta:
-            rendered = make_hash_dropper(empty_meta, "meta_dropped")(rendered)
-        tiles = MetatileSplitter(layer)(rendered)
-        tiles = make_hash_dropper(empty_tile, "dropped")(tiles)
-        tiles = finalize_tiles(tiles)
+        render = GeometryRenderer(layer, list(layer.geometries))
+        tiles = tile_chain(layer, empty_meta, empty_tile, render)(coords)
 
         if partition_id in fail_partitions:
             raise RuntimeError(f"injected failure in partition {partition_id}")

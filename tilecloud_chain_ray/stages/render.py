@@ -13,25 +13,83 @@ server, so the engine renders deterministically itself:
   raster tile assembly; input rows carry pre-aggregated cell counts).
 
 Both are actor classes for ``map_batches`` (state: decoded geometries /
-color tables built once per actor).  Output column ``data`` holds PNG
-bytes; ``content_type`` = image/png.
+color tables built once per actor); ``content_type`` = image/png.
+``DensityRenderer`` and ``GeometryRenderer`` on a non-meta layer emit
+PNG bytes in column ``data``.  ``GeometryRenderer`` on a meta layer
+emits column ``pixels`` instead: the raw RGBA rows of every metatile of
+the batch in one contiguous ``large_binary`` buffer (``pixels_array``),
+which the metatile hash-drop and the splitter read as zero-copy numpy
+views (``pixel_images``).  The metatile PNG is internal to the chain,
+never stored, so it is never encoded.
 """
 
 from __future__ import annotations
 
+import math
 import zlib
+from functools import lru_cache
 
 import numpy as np
 import pyarrow as pa
 import ray
 
 from tilecloud_chain_ray.config import Layer
-from tilecloud_chain_ray.functions.png import encode_png
+from tilecloud_chain_ray.functions.png import encode_png, is_uniform
 from tilecloud_chain_ray.geom import Geometry, LineString, Point, Polygon
 from tilecloud_chain_ray.geom.geometry import iter_leaves
 from tilecloud_chain_ray.geom.ops import points_in_polygon
 
 BACKGROUND = np.array([240, 240, 240, 255], dtype=np.uint8)
+
+
+def is_background(img: np.ndarray) -> bool:
+    """Every pixel of the RGBA image ``img`` is ``BACKGROUND``."""
+    return bool((img[0, 0] == BACKGROUND).all()) and is_uniform(img)
+
+
+@lru_cache(maxsize=64)
+def background_png(side: int, level: int = 6) -> bytes:
+    """``encode_png`` of a geometry-free ``side``² render."""
+    img = np.empty((side, side, 4), dtype=np.uint8)
+    img[:] = BACKGROUND
+    return encode_png(img, level=level)
+
+
+def pixels_array(
+    pixels: np.ndarray, offsets: np.ndarray, valid: np.ndarray | None = None
+) -> pa.Array:
+    """Wrap the flat uint8 buffer ``pixels`` (row ``i`` is
+    ``pixels[offsets[i]:offsets[i + 1]]``, null where ``valid`` is
+    False) as a ``large_binary`` array without copying it."""
+    validity = pa.array(valid, pa.bool_()).buffers()[1] if valid is not None else None
+    return pa.Array.from_buffers(
+        pa.large_binary(),
+        len(offsets) - 1,
+        [validity, pa.py_buffer(offsets.astype(np.int64, copy=False)), pa.py_buffer(pixels)],
+    )
+
+
+def pixel_images(column: pa.ChunkedArray | pa.Array) -> list[np.ndarray | None]:
+    """Zero-copy (side, side, 4) uint8 views of a ``pixels`` column of
+    square RGBA images; None for null rows."""
+    chunks = column.chunks if isinstance(column, pa.ChunkedArray) else [column]
+    out: list[np.ndarray | None] = []
+    for chunk in chunks:
+        n = len(chunk)
+        if n == 0:
+            continue
+        _, offsets_buf, data_buf = chunk.buffers()
+        offsets = np.frombuffer(offsets_buf, np.int64)[chunk.offset : chunk.offset + n + 1]
+        data = np.frombuffer(data_buf, np.uint8) if data_buf is not None else None
+        valid = chunk.is_valid().to_numpy(zero_copy_only=False)
+        for i in range(n):
+            if not valid[i]:
+                out.append(None)
+                continue
+            row = data[offsets[i] : offsets[i + 1]]
+            side = math.isqrt(len(row) // 4)
+            out.append(row.reshape(side, side, 4))
+    return out
 
 
 def layer_color(name: str) -> np.ndarray:
@@ -54,16 +112,19 @@ def render_leaves(
     extent: tuple[float, float, float, float],
     size: tuple[int, int],
     color: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Rasterize leaf geometries into an RGBA image over ``extent``.
 
     Pixel (row 0, col 0) is the top-left; pixel centers sample the map.
+    ``out``, a (height, width, 4) uint8 array, receives the image when
+    given.
     """
     width, height = size
     minx, miny, maxx, maxy = extent
     resx = (maxx - minx) / width
     resy = (maxy - miny) / height
-    img = np.empty((height, width, 4), dtype=np.uint8)
+    img = np.empty((height, width, 4), dtype=np.uint8) if out is None else out
     img[:] = BACKGROUND
 
     def to_px(mx, my):
@@ -114,7 +175,12 @@ def iter_leaves_all(geoms):
 
 
 class GeometryRenderer:
-    """Render each (meta)tile coord row from the layer geometries."""
+    """Render each (meta)tile coord row from the layer geometries.
+
+    On a meta layer a call holds every metatile of its batch as pixels
+    (21 MiB each at meta_size 8, buffer 128, 256 px tiles), so callers
+    keep batches small; ``pipelines.generate.tile_chain`` renders at
+    most ``PIXEL_BATCH`` metatiles at a time."""
 
     def __init__(self, layer: Layer, geoms_ref=None) -> None:
         from tilecloud_chain_ray.geom.strtree import STRtree
@@ -141,14 +207,25 @@ class GeometryRenderer:
         x = batch["x"].to_numpy(zero_copy_only=False)
         y = batch["y"].to_numpy(zero_copy_only=False)
         n = batch["n"].to_numpy(zero_copy_only=False)
+        sides = n.astype(np.int64) * grid.tile_size + 2 * buffer_px
+        if self.layer.meta:
+            offsets = np.zeros(batch.num_rows + 1, dtype=np.int64)
+            np.cumsum(sides * sides * 4, out=offsets[1:])
+            pixels = np.empty(int(offsets[-1]), dtype=np.uint8)
         blobs = []
         for i in range(batch.num_rows):
-            size_px = int(n[i]) * grid.tile_size + 2 * buffer_px
+            side = int(sides[i])
             extent = grid.extent(int(z[i]), int(x[i]), int(y[i]), int(n[i]), buffer_px)
             hit = [self.leaves[j] for j in self.tree.query(*extent)]
-            img = render_leaves(hit, extent, (size_px, size_px), self.color)
-            blobs.append(encode_png(img))
-        out = batch.append_column("data", pa.array(blobs, pa.binary()))
+            if self.layer.meta:
+                img = pixels[offsets[i] : offsets[i + 1]].reshape(side, side, 4)
+                render_leaves(hit, extent, (side, side), self.color, out=img)
+            else:
+                blobs.append(encode_png(render_leaves(hit, extent, (side, side), self.color)))
+        if self.layer.meta:
+            out = batch.append_column("pixels", pixels_array(pixels, offsets))
+        else:
+            out = batch.append_column("data", pa.array(blobs, pa.binary()))
         return out.append_column(
             "content_type", pa.array(["image/png"] * batch.num_rows, pa.string())
         )

@@ -2,22 +2,69 @@
 
 Reference semantics (``/root/reference/tilecloud_chain/__init__.py:
 1483-1595``, splitter geometry ``cost.py:166-185``): crop ``tile_size``
-windows offset by ``meta_buffer`` from the metatile image and re-encode
-each child.  Rows already marked ``meta_dropped`` by the metatile hash
-drop pass through unchanged as zero-child marker rows — preserving the
-reference's "dropped metatile => children never materialize" ordering
-(``generate.py:305-319``) while keeping drop counts in-band.
+windows offset by ``meta_buffer`` from the metatile image and encode
+each child as PNG.  The metatile arrives as raw RGBA in column
+``pixels`` (``stages/render.py``), and the crops are zero-copy views of
+it; a PNG ``data`` column (a metatile fetched from a WMS server) is
+decoded once into that form first.  A child that is all background
+reuses one cached encoding of the background tile, byte-identical to
+encoding it, so the tile hash-drop sees the same bytes.  Rows already
+marked ``meta_dropped`` by the metatile hash drop pass through as
+zero-child marker rows — preserving the reference's "dropped metatile
+=> children never materialize" ordering (``generate.py:305-319``) while
+keeping drop counts in-band.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 import pyarrow as pa
 
 from tilecloud_chain_ray.config import Layer
 from tilecloud_chain_ray.functions.png import decode_png, encode_png
+from tilecloud_chain_ray.stages.render import (
+    background_png,
+    is_background,
+    pixel_images,
+    pixels_array,
+)
 
-_PASSTHROUGH_EXCLUDE = {"x", "y", "n", "data", "status"}
+_PASSTHROUGH_EXCLUDE = {"x", "y", "n", "data", "pixels", "status"}
+
+
+def split_pixels(
+    img: np.ndarray, n: int, tile_size: int, buffer_px: int
+) -> Iterator[tuple[int, int, bytes]]:
+    """Yield ``(dx, dy, png)`` for the n² children of the RGBA metatile
+    ``img``, row by row."""
+    for dy in range(n):
+        for dx in range(n):
+            crop = img[
+                buffer_px + dy * tile_size : buffer_px + (dy + 1) * tile_size,
+                buffer_px + dx * tile_size : buffer_px + (dx + 1) * tile_size,
+            ]
+            if is_background(crop):
+                yield dx, dy, background_png(tile_size)
+            else:
+                yield dx, dy, encode_png(np.ascontiguousarray(crop))
+
+
+def decode_metatiles(batch: pa.Table) -> pa.Table:
+    """Replace the PNG column ``data`` with the decoded RGBA ``pixels``."""
+    images = [decode_png(b) if b is not None else None for b in batch["data"].to_pylist()]
+    for img in images:
+        if img is not None and img.shape[2] != 4:
+            raise ValueError("expected an RGBA metatile")
+    sizes = [img.nbytes if img is not None else 0 for img in images]
+    offsets = np.zeros(len(images) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    flat = [img.reshape(-1) for img in images if img is not None]
+    pixels = np.concatenate(flat) if flat else np.empty(0, dtype=np.uint8)
+    valid = np.array([img is not None for img in images], dtype=bool)
+    i = batch.schema.get_field_index("data")
+    return batch.set_column(i, "pixels", pixels_array(pixels, offsets, valid))
 
 
 class MetatileSplitter:
@@ -25,12 +72,14 @@ class MetatileSplitter:
         self.layer = layer
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or not self.layer.meta:
+        if not self.layer.meta:
             if "status" not in batch.schema.names:
                 batch = batch.append_column(
                     "status", pa.array(["generated"] * batch.num_rows, pa.string())
                 )
             return batch
+        if "pixels" not in batch.schema.names:
+            batch = decode_metatiles(batch)
         ts = self.layer.grid.tile_size
         buf = self.layer.meta_buffer
         has_status = "status" in batch.schema.names
@@ -40,7 +89,7 @@ class MetatileSplitter:
         x = batch["x"].to_numpy(zero_copy_only=False)
         y = batch["y"].to_numpy(zero_copy_only=False)
         n = batch["n"].to_numpy(zero_copy_only=False)
-        data = batch["data"]
+        images = pixel_images(batch["pixels"])
 
         take_idx: list[int] = []
         out_x: list[int] = []
@@ -48,8 +97,8 @@ class MetatileSplitter:
         out_n: list[int] = []
         out_data: list[bytes | None] = []
         out_status: list[str] = []
-        for i in range(batch.num_rows):
-            if statuses[i] == "meta_dropped" or data[i].as_py() is None:
+        for i, img in enumerate(images):
+            if statuses[i] == "meta_dropped" or img is None:
                 take_idx.append(i)
                 out_x.append(int(x[i]))
                 out_y.append(int(y[i]))
@@ -57,20 +106,13 @@ class MetatileSplitter:
                 out_data.append(None)
                 out_status.append(statuses[i])
                 continue
-            img = decode_png(data[i].as_py())
-            ni = int(n[i])
-            for dy in range(ni):
-                for dx in range(ni):
-                    crop = img[
-                        buf + dy * ts : buf + (dy + 1) * ts,
-                        buf + dx * ts : buf + (dx + 1) * ts,
-                    ]
-                    take_idx.append(i)
-                    out_x.append(int(x[i]) + dx)
-                    out_y.append(int(y[i]) + dy)
-                    out_n.append(1)
-                    out_data.append(encode_png(np.ascontiguousarray(crop)))
-                    out_status.append("generated")
+            for dx, dy, png in split_pixels(img, int(n[i]), ts, buf):
+                take_idx.append(i)
+                out_x.append(int(x[i]) + dx)
+                out_y.append(int(y[i]) + dy)
+                out_n.append(1)
+                out_data.append(png)
+                out_status.append("generated")
 
         carried = batch.select(
             [c for c in batch.schema.names if c not in _PASSTHROUGH_EXCLUDE]

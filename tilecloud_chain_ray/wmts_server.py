@@ -44,11 +44,12 @@ from mimetypes import guess_type
 import numpy as np
 
 from tilecloud_chain_ray.config import Layer
-from tilecloud_chain_ray.functions.png import decode_png, encode_png
+from tilecloud_chain_ray.functions.png import decode_png
 from tilecloud_chain_ray.geom.ops import box_intersects_many
 from tilecloud_chain_ray.server import TileResponse, get_tile_fs
 from tilecloud_chain_ray.sinks.capabilities import wmts_capabilities_xml
 from tilecloud_chain_ray.sinks.wmts import tile_path
+from tilecloud_chain_ray.stages.split import split_pixels
 
 
 class WmtsError(Exception):
@@ -346,17 +347,18 @@ class RayMapCache:
 def default_tile_source(layer: Layer):
     """Deterministic metatile source: the same renderer the generate
     pipeline uses (A1 substitute; swap for ``wms_tile_source`` against
-    a real server)."""
+    a real server).  It returns the RGBA pixels, which
+    ``split_metatile`` crops without a PNG round-trip."""
     from tilecloud_chain_ray.stages.render import layer_color, render_geometries
 
     geoms = [getattr(g, "geometry", g) for g in layer.geometries]
     color = layer_color(layer.name)
 
-    def source(z: int, x: int, y: int, n: int) -> bytes:
+    def source(z: int, x: int, y: int, n: int) -> np.ndarray:
         border = layer.meta_buffer if layer.meta else 0
         size = n * layer.grid.tile_size + 2 * border
         extent = layer.grid.extent(z, x, y, n, border_px=border)
-        return encode_png(render_geometries(geoms, extent, (size, size), color))
+        return render_geometries(geoms, extent, (size, size), color)
 
     return source
 
@@ -378,19 +380,14 @@ def wms_tile_source(layer: Layer, wms_url: str, **fetcher_kwargs):
     return source
 
 
-def split_metatile(layer: Layer, data: bytes, mx: int, my: int, n: int):
-    """Decode a metatile and yield ``(x, y, png_bytes)`` children —
-    the serving-path twin of ``stages/split.MetatileSplitter``."""
-    ts = layer.grid.tile_size
+def split_metatile(layer: Layer, data: bytes | np.ndarray, mx: int, my: int, n: int):
+    """Yield ``(x, y, png_bytes)`` children of a metatile given as RGBA
+    pixels or as PNG bytes (decoded once) — the serving path's use of
+    the generate pipeline's ``stages/split.split_pixels``."""
+    img = data if isinstance(data, np.ndarray) else decode_png(data)
     buf = layer.meta_buffer if layer.meta else 0
-    img = decode_png(data)
-    for dy in range(n):
-        for dx in range(n):
-            crop = img[
-                buf + dy * ts : buf + (dy + 1) * ts,
-                buf + dx * ts : buf + (dx + 1) * ts,
-            ]
-            yield mx + dx, my + dy, encode_png(np.ascontiguousarray(crop))
+    for dx, dy, png in split_pixels(img, n, layer.grid.tile_size, buf):
+        yield mx + dx, my + dy, png
 
 
 def filter_tilecoord(layer: Layer, geoms, z: int, x: int, y: int, n: int) -> bool:
@@ -422,10 +419,10 @@ class WmtsServer:
     ``root`` is the static WMTS filesystem layout (None = no static
     cache, everything dynamic).  ``mapcache`` turns on the dynamic path
     for tiles beyond ``max_zoom_seed`` or outside the layer geometry;
-    ``tile_source`` computes a missing metatile (default: the
-    deterministic renderer).  ``feature_info`` maps layer name ->
-    ``{"url": ..., "query_layers": ..., "layers": ...}`` for the
-    GetFeatureInfo WMS proxy.
+    ``tile_source`` computes a missing metatile as RGBA pixels or PNG
+    bytes (default: the deterministic renderer, pixels).
+    ``feature_info`` maps layer name -> ``{"url": ..., "query_layers":
+    ..., "layers": ...}`` for the GetFeatureInfo WMS proxy.
     """
 
     STATIC_ALLOW_EXTENSION = ("png", "jpeg", "jpg", "xml", "json")
