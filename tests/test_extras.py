@@ -244,6 +244,39 @@ def test_grouped_approx_distinct_within_error():
 
 
 @pytest.mark.usefixtures("ray_session")
+def test_hll_merge_kernel_null_group_keeps_real_groups():
+    """A null group co-located with real groups (always so at exchange
+    width 1) must not relabel its registers as the last real group."""
+    import numpy as np
+    import pyarrow as pa
+    import ray
+
+    from tilecloud_chain_ray.stages.sketch import _hll_merge_kernel, _hll_registers
+    from tilecloud_chain_ray.util import hash_group_blocks
+
+    p = 8
+    keys = {"a": np.arange(100), "b": np.arange(1000, 1030), None: np.arange(5000, 9000)}
+    sketches = pa.table(
+        {
+            "g": pa.array([g for g in keys for _ in range(2)]),
+            "regs": pa.array(
+                [_hll_registers(k[i::2], p).tolist() for k in keys.values() for i in range(2)],
+                pa.list_(pa.uint8()),
+            ),
+        }
+    )
+    kernel = _hll_merge_kernel("g", "approx_distinct", p)
+    direct = kernel(sketches).to_pylist()
+    via_exchange = hash_group_blocks(
+        ray.data.from_arrow(sketches), ["g"], kernel, num_partitions=1
+    ).take_all()
+    for rows in (direct, via_exchange):
+        assert sorted(r["g"] for r in rows) == ["a", "b"], rows
+        out = {r["g"]: r["approx_distinct"] for r in rows}
+        assert abs(out["a"] - 100) <= 10 and abs(out["b"] - 30) <= 3, out
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_skew_join_matches_plain_join():
     """Hot keys through the broadcast map-side path produce exactly the
     plain bucketed join's rows (one key holding 50% of the left side)."""

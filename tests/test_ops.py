@@ -47,6 +47,35 @@ def test_exact_dedup_finds_planted():
 
 
 @pytest.mark.usefixtures("ray_session")
+def test_exact_dedup_counts_null_key_rows():
+    # dup_count is the number of rows with the text, null keys included
+    table = pa.table(
+        {
+            "doc_id": pa.array([None, 4, None, 7, 9], pa.int64()),
+            "text": ["same", "same", "same", "other", "other"],
+        }
+    )
+    out = dd.exact_dedup(ray.data.from_arrow(table)).to_pandas()
+    counts = dict(zip(out["keep_key"], out["dup_count"]))
+    assert counts == {4: 3, 7: 2}
+    assert out["dup_count"].sum() == table.num_rows
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_distributed_pair_paths_without_pairs():
+    # no candidate pairs anywhere: the pair-dedup exchange gets a
+    # schema-less empty input and must still return typed empty pairs
+    banded = ray.data.from_arrow(
+        pa.table({"key": [0, 0], "band": [0, 1], "band_hash": [0, 0]})
+    )
+    assert dd._expand_hot_bucket_pairs(banded).count() == 0
+    hashed = ray.data.from_arrow(
+        pa.table({"doc_id": [1, 2], "simhash": pa.array([0, (1 << 62) - 1], pa.int64())})
+    )
+    assert dd.hamming_blocked_pairs(hashed, force_distributed=True).count() == 0
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_minhash_finds_exact_dups():
     table = docs_with_dups()
     ds = ray.data.from_arrow(table)

@@ -23,7 +23,7 @@ import pytest
 from tilecloud_chain_ray.util import (
     _stripped_read_schema,
     read_parquet_clean,
-    strip_schema_metadata,
+    strip_meta,
 )
 
 SF_DIR = "/root/testdata/sf0.001"
@@ -45,7 +45,7 @@ def test_testdata_parquet_has_unhashable_schema():
 
 def test_strip_schema_metadata_zero_copy():
     tbl = pa.table({"a": [1, 2]}).replace_schema_metadata({b"pandas": b"{}"})
-    out = strip_schema_metadata(tbl)
+    out = strip_meta(tbl)
     _assert_hashable(out.schema, "stripped table")
     # zero-copy: same underlying buffer addresses
     assert (
@@ -53,7 +53,7 @@ def test_strip_schema_metadata_zero_copy():
         == tbl.column("a").chunks[0].buffers()[1].address
     )
     # no-op path returns the identical object
-    assert strip_schema_metadata(out) is out
+    assert strip_meta(out) is out
 
 
 def test_stripped_read_schema_modes(tmp_path):

@@ -28,7 +28,7 @@ from tilecloud_chain_ray.stages.hashdrop import (
     finalize_tiles,
     make_hash_dropper,
 )
-from tilecloud_chain_ray.util import default_buckets, read_parquet_clean
+from tilecloud_chain_ray.util import read_parquet_clean
 
 
 def cell_counts(
@@ -92,11 +92,11 @@ def pixel_rows_all_zooms(counts: ray.data.Dataset, zooms: Sequence[int]) -> ray.
     return counts.map_batches(to_pixels, batch_format="pyarrow")
 
 
-# NOTE: an un-salted per-(z,tx,ty) grouping variant ("tiles_with_pixels")
-# used to live here; it was removed because a raw tile-key groupby is one
-# Ray group per tile — the shape the round-1 ledger measured at 334 s
-# before salting.  The only assembly path is the salted assemble_bucket
-# inside assemble_and_render_tiles below.
+# NOTE: a per-(z,tx,ty) grouping variant ("tiles_with_pixels") used to
+# live here; it was removed because a sort-based tile-key groupby is one
+# Ray group per tile — the shape the round-1 ledger measured at 334 s.
+# The only assembly path is the tile-keyed task exchange inside
+# assemble_and_render_tiles below (one task per partition, not per tile).
 
 
 def assemble_and_render_tiles(
@@ -107,63 +107,35 @@ def assemble_and_render_tiles(
 ) -> ray.data.Dataset:
     """Pixel partial rows -> rendered tile rows.
 
-    The shuffle key is a *bucket* of the tile key, not the tile itself:
-    one group per tile would be ~10^5 tiny per-group Python calls that
-    Ray packs into a handful of sorted blocks (observed: effective
-    parallelism ~1).  With ``n_buckets`` salted partitions, each merge
-    task sums its whole bucket of tiles in one vectorized pass, the
-    per-call overhead amortizes, and parallelism = min(n_buckets,
-    cluster) by construction of the task exchange.
+    The partials move through one task exchange keyed on the packed
+    tile id (util.hash_group_blocks; ``n_buckets`` is the requested
+    width): each merge task sums every tile of its partition in one
+    vectorized pass, so the per-call overhead amortizes over many
+    tiles — never one Ray group per tile, which Ray's sort groupby
+    packed into a handful of blocks (observed: effective parallelism
+    ~1) — and the exchange can widen as far as its input's bytes ask.
     """
     from tilecloud_chain_ray.functions.png import encode_png
     from tilecloud_chain_ray.stages.render import layer_color, render_density_image
 
-    if n_buckets is None:
-        n_buckets = default_buckets()
     ts = layer.grid.tile_size
     color = layer_color(layer.name)
 
-    # packed pixel key (uint64): z<<60 would overflow int64 at high z;
-    # uint64 keeps the full 44+16 bits exact
-    def _pack(z, tx, ty, pcol, prow):
-        tile_key = (
-            (z.astype(np.uint64) << np.uint64(44))
-            | (tx.astype(np.uint64) << np.uint64(22))
-            | ty.astype(np.uint64)
+    def pack(batch: pa.Table) -> pa.Table:
+        # packed tile id (uint64: z<<44 | tx<<22 | ty — z<<60 would
+        # overflow int64 at high z) + packed pixel id (pcol<<8 | prow):
+        # 18 bytes a partial instead of six int64 columns
+        z, tx, ty, pcol, prow = (
+            batch[c].to_numpy(zero_copy_only=False).astype(np.uint64)
+            for c in ("z", "tx", "ty", "pcol", "prow")
         )
-        return (tile_key << np.uint64(16)) | (
-            pcol.astype(np.uint64) << np.uint64(8)
-        ) | prow.astype(np.uint64)
-
-    def bundle(batch: pa.Table) -> pa.Table:
-        # bundled shuffle (see stages/distinct.py): one row per bucket
-        # per input block carrying SORTED key/count arrays, so the sort
-        # orders thousands of bundles, not millions of pixel rows
-        z = batch["z"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        tx = batch["tx"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        ty = batch["ty"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        pcol = batch["pcol"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        prow = batch["prow"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        n = batch["n"].to_numpy(zero_copy_only=False).astype(np.int64)
-        full = _pack(z, tx, ty, pcol, prow)
-        bucket = ((full >> np.uint64(16)) % np.uint64(n_buckets)).astype(np.int64)
-        order = np.argsort(bucket, kind="stable")
-        bucket, full, n = bucket[order], full[order], n[order]
-        starts = np.flatnonzero(np.r_[True, bucket[1:] != bucket[:-1]])
-        ends = np.r_[starts[1:], len(bucket)]
-        rows_b, rows_keys, rows_ns = [], [], []
-        for s, e in zip(starts, ends):
-            rows_b.append(int(bucket[s]))
-            # byte payloads, not list<int64>: a bundle's keys stay one
-            # numpy buffer end-to-end (list cells would round-trip
-            # every element through Python ints in the reduce)
-            rows_keys.append(full[s:e].tobytes())
-            rows_ns.append(n[s:e].tobytes())
-        return pa.Table.from_pydict(
+        tile = (z << np.uint64(44)) | (tx << np.uint64(22)) | ty
+        pix = (pcol << np.uint64(8)) | prow
+        return pa.table(
             {
-                "bucket": pa.array(rows_b, pa.int64()),
-                "keys": pa.array(rows_keys, pa.binary()),
-                "ns": pa.array(rows_ns, pa.binary()),
+                "tile": pa.array(tile, pa.uint64()),
+                "pix": pa.array(pix.astype(np.uint16), pa.uint16()),
+                "n": pa.array(batch["n"].to_numpy(zero_copy_only=False).astype(np.int64)),
             }
         )
 
@@ -174,11 +146,7 @@ def assemble_and_render_tiles(
         emits tile rows so the encode stage re-splits into small
         map_batches tasks at full parallelism (the round-2 bench
         measured the render leg flat at 8 vs 32 cpus when it ran at
-        sorted-block parallelism).  Multi-bucket co-location is safe:
-        the kernel keys on the packed tile ids themselves — the bucket
-        column only spreads the exchange."""
-        from tilecloud_chain_ray.util import binary_views
-
+        sorted-block parallelism)."""
         if t.num_rows == 0:
             return pa.Table.from_pydict(
                 {
@@ -189,12 +157,10 @@ def assemble_and_render_tiles(
                     "pns": pa.array([], pa.binary()),
                 }
             )
-        full = np.concatenate(
-            [np.frombuffer(a, dtype=np.uint64) for a in binary_views(t["keys"])]
-        )
-        n = np.concatenate(
-            [np.frombuffer(a, dtype=np.int64) for a in binary_views(t["ns"])]
-        )
+        full = (t["tile"].to_numpy().astype(np.uint64) << np.uint64(16)) | t[
+            "pix"
+        ].to_numpy().astype(np.uint64)
+        n = t["n"].to_numpy()
         order = np.argsort(full, kind="stable")
         full, n = full[order], n[order]
         # collapse duplicate (tile, pixel) keys
@@ -252,13 +218,15 @@ def assemble_and_render_tiles(
 
     from tilecloud_chain_ray.util import hash_group_blocks
 
-    # task exchange with one merge per bucket partition: the encode
-    # stage downstream sees n_buckets blocks directly (no repartition
-    # needed — the old sort path packed its output into ~4 blocks and
-    # ran the render leg flat at 8 vs 32 cpus until re-split)
+    # task exchange with one merge per partition: the encode stage
+    # downstream sees one block per non-empty partition, so its
+    # parallelism follows the exchange width — about one block per
+    # core (no repartition needed — the old sort path packed its
+    # output into ~4 blocks and ran the render leg flat at 8 vs 32
+    # cpus until re-split)
     assembled = hash_group_blocks(
-        partials.map_batches(bundle, batch_format="pyarrow"),
-        ["bucket"],
+        partials.map_batches(pack, batch_format="pyarrow"),
+        ["tile"],
         assemble_partition,
         num_partitions=n_buckets,
     )
@@ -281,10 +249,13 @@ def density_pyramid(
     """Full density pyramid for the given zooms (finest first not
     required).  Returns (tiles_dataset, summary_dict).
 
-    ``n_buckets`` is the assembly-shuffle salt (see
-    assemble_and_render_tiles): size it to a few × the cluster's core
-    count — more buckets buy render parallelism on big tile universes,
-    fewer cut the per-group overhead when the output is small."""
+    ``n_buckets`` is the requested width of the assembly exchange (see
+    assemble_and_render_tiles); the default is one partition per
+    cluster core (:func:`~tilecloud_chain_ray.util.default_buckets`),
+    raised when the partials' bytes call for it.  More partitions buy
+    render parallelism on big tile universes, fewer cut the per-task
+    overhead when the output is small; the tiles are the same at any
+    width."""
     from tilecloud_chain_ray.pipelines.generate import GenerateResult
 
     assert not layer.meta, "density tiles are rendered per-tile (meta=False)"

@@ -135,7 +135,7 @@ def density_resumable(
     job_id: str = "density-1",
     out_wmts: str | None = None,
     fail_partitions: set[int] | None = None,
-    n_buckets: int | None = None,  # assembly salt; None = cluster-sized
+    n_buckets: int | None = None,  # assembly exchange width; None = cluster-sized
 ):
     """Run (or resume) the checkpointed density job; returns
     (tiles_dataset, summary)."""

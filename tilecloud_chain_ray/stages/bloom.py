@@ -11,8 +11,8 @@ EXACT with the standard two-pass trick:
 2. probe: rows whose key misses the filter are definite non-members —
    emitted immediately (Bloom filters have no false negatives);
 3. verify: only the flagged rows (true members + the ~0.1 % false
-   positives at the default 13 bits/key) go through an exact bucketed
-   semi-check against the real key set.
+   positives at the default 13 bits/key) go through an exact
+   key-partitioned semi-check against the real key set.
 
 Hashing: splitmix64 finalizer + double hashing (h1 + i*h2), all
 vectorized uint64 numpy.
@@ -26,7 +26,6 @@ import pyarrow.compute as pc
 import ray
 
 from tilecloud_chain_ray.functions.hashing import mix64 as _mix64
-from tilecloud_chain_ray.util import default_buckets
 
 
 def _bit_positions(keys: np.ndarray, n_bits: int, k: int) -> np.ndarray:
@@ -119,31 +118,25 @@ def build_bloom(
     return merged, n_bits, k
 
 
-def _anti_join_bucketed(
+def _anti_join_partitioned(
     flagged: ray.data.Dataset,
     right_keys: ray.data.Dataset,
     on: str,
     right_key_col: str,
-    n_buckets: int,
+    n_buckets: int | None,
 ) -> ray.data.Dataset:
-    """Exact bucketed anti-join of the flagged residue against the
-    right key set, all in arrow (no pandas upcast, so the output keeps
-    the left schema's exact types and unions cleanly with the
-    Bloom-cleared stream).  Duplicate right keys are harmless — the
-    per-bucket check is a set-membership ``is_in``."""
+    """Exact anti-join of the flagged residue against the right key
+    set, hash-partitioned on the key, all in arrow (no pandas upcast,
+    so the output keeps the left schema's exact types and unions
+    cleanly with the Bloom-cleared stream).  Duplicate right keys are
+    harmless — the per-partition check is a set-membership ``is_in``."""
     schema = flagged.schema()  # Ray Schema wrapper: .names / .types
     cols = list(schema.names)
     col_types = dict(zip(schema.names, schema.types))
     key_type = col_types[on]
 
-    def bucket_of(keys: pa.ChunkedArray | pa.Array) -> pa.Array:
-        k = keys.to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = (((k * np.uint64(0x9E3779B1)) & np.uint64(0x7FFFFFFF)) % np.uint64(n_buckets))
-        return pa.array(b.astype(np.int64), pa.int64())
-
     def tag_left(b: pa.Table) -> pa.Table:
-        out = b.append_column("__bucket", bucket_of(b[on]))
-        return out.append_column(
+        return b.append_column(
             "__side", pa.array(np.zeros(b.num_rows, dtype=np.int8), pa.int8())
         )
 
@@ -153,7 +146,6 @@ def _anti_join_bucketed(
         data: dict = {}
         for name in cols:
             data[name] = key if name == on else pa.nulls(n, type=col_types[name])
-        data["__bucket"] = bucket_of(key)
         data["__side"] = pa.array(np.ones(n, dtype=np.int8), pa.int8())
         return pa.Table.from_pydict(data)
 
@@ -170,9 +162,9 @@ def _anti_join_bucketed(
 
     from tilecloud_chain_ray.util import hash_group_blocks
 
-    # is_in is membership on the co-located key set, so merging several
-    # __bucket groups into one hash partition changes nothing
-    return hash_group_blocks(both, ["__bucket"], anti, num_partitions=n_buckets)
+    # partitioned on the key itself (both sides carry it at the same
+    # type): is_in is membership on the co-located key set
+    return hash_group_blocks(both, [on], anti, num_partitions=n_buckets)
 
 
 def bloom_anti_join(
@@ -200,14 +192,13 @@ def bloom_anti_join(
       collected, the MATCHING right keys semi-filtered against them
       and broadcast back (measured 800k rows vs 100k keys in ~9 s);
     * **distributed** — over the gate (corpus-scale match sets), the
-      flagged rows and the right keys co-locate by ``hash(key) %
-      n_buckets`` and each bucket does a vectorized arrow anti-check
-      (``_anti_join_bucketed``): nothing key-shaped touches the
+      flagged rows and the right keys hash-partition on the key
+      (``n_buckets`` is the requested exchange width) and each
+      partition does a vectorized arrow anti-check
+      (``_anti_join_partitioned``): nothing key-shaped touches the
       driver.  ``force_distributed`` pins this path for equality
       testing.
     """
-    if n_buckets is None:
-        n_buckets = default_buckets()
     right_key_col = right_key_col or on
     # consumed twice (bitmap build + residue present-check): pin the
     # key projection once instead of re-running its upstream pipeline
@@ -245,7 +236,7 @@ def bloom_anti_join(
         ).take_all()
     )
     if force_distributed or n_flagged * 16 > residue_max_bytes:
-        fp_survivors = _anti_join_bucketed(
+        fp_survivors = _anti_join_partitioned(
             flagged_rows, right_keys, on, right_key_col, n_buckets
         )
         return clean.union(fp_survivors)

@@ -50,8 +50,9 @@ def vocab_topk(
     that sees full text), then ONE vocab-keyed task exchange whose
     kernel both sums each co-located token and emits the partition's
     top-k (valid because a token's counts never straddle hash
-    partitions, so partition counts are final), then a width-1
-    exchange merges the <= k-per-partition candidates.
+    partitions, so partition counts are final), then one driver-side
+    cut over the <= k-per-partition candidates (a global kernel cannot
+    ride the exchange, which may widen past any requested width).
     """
     from tilecloud_chain_ray.util import hash_group_blocks
 
@@ -82,7 +83,7 @@ def vocab_topk(
 
     partials = ds.map_batches(partial_counts, batch_format="pyarrow")
     cands = hash_group_blocks(partials, ["token"], sum_topk_partition)
-    return hash_group_blocks(cands, ["token"], final_topk, num_partitions=1)
+    return ray.data.from_arrow(final_topk(pa.concat_tables(ray.get(cands.to_arrow_refs()))))
 
 
 # ---------------------------------------------------------------------------

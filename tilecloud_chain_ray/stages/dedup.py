@@ -19,7 +19,7 @@ import pandas as pd
 import pyarrow as pa
 import ray
 
-from tilecloud_chain_ray.util import default_buckets, strip_meta, vecs_from_arrow
+from tilecloud_chain_ray.util import default_buckets, vecs_from_arrow
 
 logger = logging.getLogger(__name__)
 
@@ -60,7 +60,7 @@ def exact_dedup(
     return exchange_aggregate(
         hashed,
         ["content_md5"],
-        [(key_col, "min"), (key_col, "count")],
+        [(key_col, "min"), ([], "count_all")],
         ["content_md5", "keep_key", "dup_count"],
     )
 
@@ -207,44 +207,29 @@ def _expand_hot_bucket_pairs(
     """Distinct (key_a < key_b) candidate pairs from a materialized
     (key, band, band_hash) table — fully distributed.
 
-    ONE bucketed shuffle: every band row goes to
-    ``hash(band, band_hash) % n_buckets``; each of the ~``n_buckets``
-    groups finds its (band, band_hash) runs vectorized (lexsort + run
-    boundaries) and expands pairs for runs of >= 2 members.  A
+    ONE task exchange hash-partitioned on (band, band_hash)
+    (util.hash_group_blocks; ``n_buckets`` is the requested width):
+    each partition finds its (band, band_hash) runs vectorized (lexsort
+    + run boundaries) and expands pairs for runs of >= 2 members.  A
     pre-aggregate "hot bucket" detection pass was measured strictly
     slower on Ray (its groupby shuffles the same rows without reducing
     them — 2.7M near-unique keys — and one Ray group per key costs
     ~1 ms of map_groups overhead).  Buckets above ``max_bucket``
     members are skipped WITH a warning (their pairs are not reported —
     degenerate near-identical content better handled by exact dedup
-    first).  Bump ``n_buckets`` with cluster size.
+    first).
     """
     if n_buckets is None:
-        n_buckets = default_buckets(floor=64, per_core=4)
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        packed = _pack_band_keys(
-            batch["band"].to_numpy(zero_copy_only=False).astype(np.uint64),
-            batch["band_hash"].to_numpy(zero_copy_only=False).astype(np.uint64),
-        )
-        with np.errstate(over="ignore"):
-            bucket = (
-                packed * np.uint64(0x9E3779B97F4A7C15) >> np.uint64(40)
-            ) % np.uint64(n_buckets)
-        return batch.append_column(
-            "bucket", pa.array(bucket.astype(np.int64), pa.int64())
-        )
+        n_buckets = default_buckets(per_core=4)
+    empty = pa.table({"key_a": pa.array([], pa.int64()), "key_b": pa.array([], pa.int64())})
 
     def pairs_bucket(batch: pa.Table) -> pa.Table:
         """All (key_a < key_b) pairs of every (band, band_hash) run in
         this partition — one fully vectorized pass (a Python loop over
         the ~10k runs per bucket was the wall-time hot spot: millions
         of tiny np.unique calls across buckets).  Runs are keyed on
-        (band, band_hash), so several ``bucket`` groups co-located in
-        one hash partition (util.hash_group_blocks) expand identically."""
-        empty = pa.table(
-            {"key_a": pa.array([], pa.int64()), "key_b": pa.array([], pa.int64())}
-        )
+        (band, band_hash), the partition key, so every run is whole
+        in its partition."""
         band = batch["band"].to_numpy(zero_copy_only=False).astype(np.int64)
         bhash = batch["band_hash"].to_numpy(zero_copy_only=False).astype(np.int64)
         key = batch["key"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -296,56 +281,21 @@ def _expand_hot_bucket_pairs(
     # task exchange, not sort-groupby: no zero-schema empty bundles
     # from pair-free buckets (see util.hash_group_blocks)
     cand = hash_group_blocks(
-        banded.map_batches(add_bucket, batch_format="pyarrow"),
-        ["bucket"],
-        pairs_bucket,
-        num_partitions=n_buckets,
+        banded, ["band", "band_hash"], pairs_bucket, num_partitions=n_buckets
     )
 
-    # global pair dedup, bucketed: a direct two-column groupby-aggregate
-    # over the raw pairs measured ~60 s where this takes ~2 s — Ray's
-    # sort-based groupby pays per distinct key, so always group by a
-    # small salted bucket and dedup vectorized inside it
-    def add_pair_bucket(batch: pa.Table) -> pa.Table:
-        batch = strip_meta(batch)  # upstream blocks are pandas-converted
-        bucket = _pair_bucket_of(
-            batch["key_a"].to_numpy(zero_copy_only=False),
-            batch["key_b"].to_numpy(zero_copy_only=False),
-            n_buckets,
-        )
-        return batch.append_column("pbucket", pa.array(bucket, pa.int64()))
-
+    # global pair dedup, partitioned on the pair: a direct two-column
+    # sort groupby-aggregate over the raw pairs measured ~60 s where
+    # this takes ~2 s — Ray's sort-based groupby pays per distinct key,
+    # so dedup vectorized inside each exchange partition instead
     def dedup_bucket(batch: pa.Table) -> pa.Table:
+        if batch.num_rows == 0:
+            return empty  # no pairs anywhere: the schema-less probe
         # distinct via an empty-aggregate group_by: one Acero C pass
         return batch.select(["key_a", "key_b"]).group_by(["key_a", "key_b"]).aggregate([])
 
     return hash_group_blocks(
-        cand.map_batches(add_pair_bucket, batch_format="pyarrow"),
-        ["pbucket"],
-        dedup_bucket,
-        num_partitions=n_buckets,
-    )
-
-
-def _pair_bucket_of(ka: np.ndarray, kb: np.ndarray, n_buckets: int) -> np.ndarray:
-    """Salted shuffle bucket of an (a, b) pair — one mix per side, xor,
-    top bits mod n_buckets (shared by every pair-dedup groupby)."""
-    with np.errstate(over="ignore"):
-        mixed = (ka.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) ^ (
-            kb.astype(np.uint64) * np.uint64(0xC2B2AE3D27D4EB4F)
-        )
-        return ((mixed >> np.uint64(40)) % np.uint64(n_buckets)).astype(np.int64)
-
-
-def _pack_band_keys(band: np.ndarray, band_hash: np.ndarray) -> np.ndarray:
-    """(band, band_hash) -> one uint64 key: band in the top 16 bits,
-    the hash's low 48 bits below.  Lossy (drops 15 hash bits) but only
-    in the safe direction for its uses (bucketing / membership
-    prefilters): a collision admits an extra row that then lands in its
-    true (band, band_hash) group downstream and pairs with nothing —
-    false positives allowed, false negatives impossible."""
-    return (band.astype(np.uint64) << np.uint64(48)) | (
-        band_hash.astype(np.uint64) & np.uint64((1 << 48) - 1)
+        cand, ["key_a", "key_b"], dedup_bucket, num_partitions=n_buckets
     )
 
 
@@ -498,13 +448,6 @@ def shingle_sig_table(
     return ds.map_batches(fn, batch_format="pyarrow")
 
 
-def _bucket_of(keys: np.ndarray, n_buckets: int) -> np.ndarray:
-    k = keys.astype(np.uint64)
-    return (((k * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)) % np.uint64(n_buckets)).astype(
-        np.int64
-    )
-
-
 def _verify_pairs_distributed(
     candidate_pairs: ray.data.Dataset,
     sigs: ray.data.Dataset,
@@ -513,28 +456,24 @@ def _verify_pairs_distributed(
 ) -> ray.data.Dataset:
     """Exact Jaccard over candidate pairs with NO driver materialization.
 
-    Two bucketed shuffles (``hash(key) % n_buckets`` — NEVER one Ray
-    group per key/pair, which costs ~1 ms per tiny group): (1) each
-    bucket maps its pair-halves against its sig rows via one
-    bucket-local dict, attaching each doc's shingle sig to every
-    half referencing it; (2) buckets of ``hash(key_a) % B`` re-unite
-    the halves and compute exact Jaccard per pair on the sorted uint64
-    arrays.  Only int64 keys + the candidate universe's sig arrays
-    move.  Bump ``n_buckets`` for larger clusters / hotter keys.
+    Two task exchanges (util.hash_group_blocks; ``n_buckets`` is the
+    requested width — NEVER one Ray group per key/pair, which costs
+    ~1 ms per tiny group): (1) partitioned on the doc key, each
+    partition maps its pair-halves against its sig rows via one
+    partition-local dict, attaching each doc's shingle sig to every
+    half referencing it; (2) partitioned on the pair, each partition
+    re-unites the halves and computes exact Jaccard per pair on the
+    sorted uint64 arrays.  Only int64 keys + the candidate universe's
+    sig arrays move.
     """
-    if n_buckets is None:
-        n_buckets = default_buckets(floor=64, per_core=4)
 
     def halves(batch: pa.Table) -> pa.Table:
         a = batch["key_a"].combine_chunks()
         b = batch["key_b"].combine_chunks()
         n = batch.num_rows
-        jkey = pa.concat_arrays([a, b])
-        bucket = _bucket_of(np.asarray(jkey), n_buckets)
         return pa.Table.from_pydict(
             {
-                "bucket": pa.array(bucket, pa.int64()),
-                "jkey": jkey,
+                "jkey": pa.concat_arrays([a, b]),
                 "key_a": pa.concat_arrays([a, a]),
                 "key_b": pa.concat_arrays([b, b]),
                 "side": pa.array([0] * n + [1] * n, pa.int8()),
@@ -544,10 +483,8 @@ def _verify_pairs_distributed(
 
     def sig_rows(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
-        keys = batch["key"].to_numpy(zero_copy_only=False)
         return pa.Table.from_pydict(
             {
-                "bucket": pa.array(_bucket_of(keys, n_buckets), pa.int64()),
                 "jkey": batch["key"],
                 "key_a": pa.nulls(n, pa.int64()),
                 "key_b": pa.nulls(n, pa.int64()),
@@ -561,9 +498,8 @@ def _verify_pairs_distributed(
     )
 
     def attach_bucket(batch: pa.Table) -> pd.DataFrame:
-        # sig_map lookups are by jkey, and every row with one jkey
-        # shares a bucket — a merged multi-bucket partition just builds
-        # a bigger map
+        # sig_map lookups are by jkey, the partition key: every half and
+        # the sig row of one doc are in this partition
         group = batch.to_pandas()
         is_sig = group["side"] == 2
         pair_halves = group[~is_sig]
@@ -571,8 +507,7 @@ def _verify_pairs_distributed(
             # typed arrow empty: a pandas object column would land as
             # arrow null type and break schema unification downstream
             return pa.table(
-                {"pkey": pa.array([], pa.int64()),
-                 "key_a": pa.array([], pa.int64()),
+                {"key_a": pa.array([], pa.int64()),
                  "key_b": pa.array([], pa.int64()),
                  "side": pa.array([], pa.int8()),
                  "sig": pa.array([], pa.list_(pa.uint64()))}
@@ -584,9 +519,6 @@ def _verify_pairs_distributed(
         kb = pair_halves["key_b"].to_numpy(dtype=np.int64)
         return pd.DataFrame(
             {
-                # re-bucket by pair (via key_a: both halves share it)
-                "pkey": _bucket_of(ka, n_buckets)
-                + (kb % np.int64(n_buckets)) * np.int64(n_buckets),
                 "key_a": ka,
                 "key_b": kb,
                 "side": pair_halves["side"].to_numpy(dtype=np.int8),
@@ -596,7 +528,7 @@ def _verify_pairs_distributed(
 
     from tilecloud_chain_ray.util import hash_group_blocks
 
-    attached = hash_group_blocks(tagged, ["bucket"], attach_bucket)
+    attached = hash_group_blocks(tagged, ["jkey"], attach_bucket, num_partitions=n_buckets)
 
     def combine_bucket(batch: pa.Table) -> pd.DataFrame:
         group = batch.to_pandas()
@@ -661,7 +593,10 @@ def _verify_pairs_distributed(
             }
         )
 
-    return hash_group_blocks(attached, ["pkey"], combine_bucket)
+    # both halves of a pair share (key_a, key_b): partition on the pair
+    return hash_group_blocks(
+        attached, ["key_a", "key_b"], combine_bucket, num_partitions=n_buckets
+    )
 
 
 def verify_jaccard(
@@ -902,7 +837,7 @@ def hamming_blocked_pairs(
     simhash_candidates (text), stages/image_dedup (pHash/dHash) and
     stages/audio_dedup (spectral fingerprints)."""
     if n_buckets is None:
-        n_buckets = default_buckets(floor=64, per_core=4)
+        n_buckets = default_buckets(per_core=4)
 
     hashed = hashed.materialize()  # reused by the count gate + pair pass
 
@@ -931,27 +866,22 @@ def hamming_blocked_pairs(
         )
 
     # distributed single pass: fan each row to its 4 packed block ids,
-    # salt the id into n_buckets groups (bounded group count — never
-    # row-scale), detect equal-id runs vectorized inside each bucket
+    # partition on the id (one task per partition — never one group
+    # per id), detect equal-id runs vectorized inside each partition
     def fan(batch: pa.Table) -> pa.Table:
         ks = batch[key_col].to_numpy(zero_copy_only=False)
         hs = batch[hash_col].to_numpy(zero_copy_only=False).astype(np.uint64)
         bvs, kf, hf = _fan_block_ids(ks, hs)
-        bucket = (
-            (bvs.astype(np.uint64) * np.uint64(0x9E3779B1)) & np.uint64(0x7FFFFFFF)
-        ) % np.uint64(n_buckets)
         return pa.Table.from_pydict(
             {
                 "bv": pa.array(bvs, pa.int64()),
-                "bbucket": pa.array(bucket.astype(np.int64), pa.int64()),
                 "k": pa.array(kf, pa.int64()),
                 "h": pa.array(hf.astype(np.int64), pa.int64()),
             }
         )
 
     def bucket_pairs(batch: pa.Table) -> pa.Table:
-        # runs are keyed on bv (same bv -> same bucket), so merged
-        # multi-bucket partitions pair identically
+        # runs are keyed on bv, the partition key: every run is whole
         a, b, h = _block_run_pairs(
             batch["bv"].to_numpy(zero_copy_only=False),
             batch["k"].to_numpy(zero_copy_only=False),
@@ -970,24 +900,18 @@ def hamming_blocked_pairs(
 
     allp = hash_group_blocks(
         hashed.map_batches(fan, batch_format="pyarrow"),
-        ["bbucket"],
+        ["bv"],
         bucket_pairs,
         num_partitions=n_buckets,
     )
 
-    # bucketed pair dedup (min hamming per pair): Ray's two-column
-    # sort groupby pays per distinct key — salt to 256 buckets and
-    # reduce vectorized inside each (same lesson as the minhash path)
-    def add_pair_bucket(batch: pa.Table) -> pa.Table:
-        batch = strip_meta(batch)  # upstream blocks are pandas-converted
-        bucket = _pair_bucket_of(
-            batch["key_a"].to_numpy(zero_copy_only=False),
-            batch["key_b"].to_numpy(zero_copy_only=False),
-            256,
-        )
-        return batch.append_column("pbucket", pa.array(bucket, pa.int64()))
-
+    # pair dedup (min hamming per pair), partitioned on the pair at the
+    # default width: Ray's two-column sort groupby pays per distinct
+    # key, so reduce vectorized inside each partition (same lesson as
+    # the minhash path)
     def min_ham_bucket(batch: pa.Table) -> pa.Table:
+        if batch.num_rows == 0:  # no pairs anywhere: the schema-less probe
+            return pa.table({c: pa.array([], pa.int64()) for c in ("key_a", "key_b", "hamming")})
         t = (
             batch.select(["key_a", "key_b", "hamming"])
             .group_by(["key_a", "key_b"])
@@ -995,12 +919,7 @@ def hamming_blocked_pairs(
         )
         return t.rename_columns(["key_a", "key_b", "hamming"])
 
-    return hash_group_blocks(
-        allp.map_batches(add_pair_bucket, batch_format="pyarrow"),
-        ["pbucket"],
-        min_ham_bucket,
-        num_partitions=256,
-    )
+    return hash_group_blocks(allp, ["key_a", "key_b"], min_ham_bucket)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,71 @@ import numpy as np
 import pyarrow as pa
 import ray
 
-from tilecloud_chain_ray.util import default_buckets
+from tilecloud_chain_ray.util import default_buckets, exchange_width
+
+
+def _bundle(g: np.ndarray, k: np.ndarray, w: np.ndarray, n_buckets: int) -> pa.Table:
+    """One list row per (group, hash-bucket) cell of the (g, k) rows:
+    the cell's sorted unique keys and its total row weight ``w``.
+
+    Fully vectorized: one lexsort orders by (gb, k); consecutive
+    deduplication yields the per-cell sorted-unique key arrays, wrapped
+    as a ListArray over the values buffer (no Python loop over the up-to
+    n_groups x n_buckets cells, no tolist copies)."""
+    bucket = (k ^ (k >> np.int64(31))) % n_buckets
+    # single packed exchange key (g * n_buckets + b): one int64 column
+    # hashes cheaper than two
+    gb = g * n_buckets + bucket
+    order = np.lexsort((k, gb))
+    gs, ks, ws = gb[order], k[order], w[order]
+    n = len(gs)
+    if n == 0:
+        return pa.Table.from_pydict(
+            {
+                "gb": pa.array([], pa.int64()),
+                "keys": pa.array([], pa.list_(pa.int64())),
+                "rows": pa.array([], pa.int64()),
+            }
+        )
+    pair_new = np.empty(n, dtype=bool)
+    pair_new[0] = True
+    pair_new[1:] = (gs[1:] != gs[:-1]) | (ks[1:] != ks[:-1])
+    uniq_gb = gs[pair_new]
+    uniq_k = ks[pair_new]
+    cell_new = np.empty(len(uniq_gb), dtype=bool)
+    cell_new[0] = True
+    cell_new[1:] = uniq_gb[1:] != uniq_gb[:-1]
+    cell_starts = np.flatnonzero(cell_new)
+    offsets = np.append(cell_starts, len(uniq_k)).astype(np.int32)
+    # total row weight per cell, over the sorted gb runs
+    gb_starts = np.flatnonzero(np.concatenate(([True], gs[1:] != gs[:-1])))
+    keys_arr = pa.ListArray.from_arrays(
+        pa.array(offsets, pa.int32()), pa.array(uniq_k, pa.int64())
+    )
+    return pa.Table.from_pydict(
+        {
+            "gb": pa.array(uniq_gb[cell_starts], pa.int64()),
+            "keys": keys_arr,
+            "rows": pa.array(np.add.reduceat(ws, gb_starts), pa.int64()),
+        }
+    )
+
+
+def _rebundle(from_buckets: int, to_buckets: int):
+    """Bundle-block map re-cutting ``from_buckets`` cells into
+    ``to_buckets`` cells per group.  A cell's row weight moves to the
+    new cell of its first key: per-group totals are unchanged."""
+    import pyarrow.compute as pc
+
+    def fn(t: pa.Table) -> pa.Table:
+        lens = pc.list_value_length(t["keys"]).to_numpy(zero_copy_only=False).astype(np.int64)
+        k = t["keys"].combine_chunks().flatten().to_numpy(zero_copy_only=False).astype(np.int64)
+        gb = t["gb"].to_numpy(zero_copy_only=False).astype(np.int64)
+        w = np.zeros(len(k), dtype=np.int64)
+        w[np.cumsum(lens) - lens] = t["rows"].to_numpy(zero_copy_only=False)
+        return _bundle(np.repeat(gb // from_buckets, lens), k, w, to_buckets)
+
+    return fn
 
 
 def grouped_distinct_counts(
@@ -43,60 +107,27 @@ def grouped_distinct_counts(
     to narrow its exchange, and still emitted zero-schema empty bundles
     on duplicate sampled boundaries; the task exchange needs neither —
     ``shuffle_blocks`` is accepted but ignored.
+
+    ``n_buckets`` is the bucket count per group and the exchange width.
+    By default it is one per cluster core, and the bundles are re-cut
+    to :func:`util.exchange_width` of their bytes when that is more:
+    a bundle row cannot be split, so the salt must be as wide as the
+    exchange for the width to spread a large group.
     """
-    if n_buckets is None:
-        n_buckets = default_buckets()
+    nb = n_buckets or default_buckets()
 
     def bundle(batch: pa.Table) -> pa.Table:
         g = batch[group_col].to_numpy(zero_copy_only=False).astype(np.int64)
         k = batch[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        bucket = (k ^ (k >> np.int64(31))) % n_buckets
-        # single packed shuffle key (g * n_buckets + b): Ray's sort-based
-        # groupby is measurably faster on one int64 column than on two
-        gb = g * n_buckets + bucket
-        # fully vectorized: one lexsort orders by (gb, k); consecutive
-        # deduplication yields the per-cell sorted-unique key arrays,
-        # wrapped as a ListArray over the values buffer (no Python loop
-        # over the up-to n_groups x n_buckets cells, no tolist copies)
-        order = np.lexsort((k, gb))
-        gs, ks = gb[order], k[order]
-        n = len(gs)
-        if n == 0:
-            return pa.Table.from_pydict(
-                {
-                    "gb": pa.array([], pa.int64()),
-                    "keys": pa.array([], pa.list_(pa.int64())),
-                    "rows": pa.array([], pa.int64()),
-                }
-            )
-        pair_new = np.empty(n, dtype=bool)
-        pair_new[0] = True
-        pair_new[1:] = (gs[1:] != gs[:-1]) | (ks[1:] != ks[:-1])
-        uniq_gb = gs[pair_new]
-        uniq_k = ks[pair_new]
-        cell_new = np.empty(len(uniq_gb), dtype=bool)
-        cell_new[0] = True
-        cell_new[1:] = uniq_gb[1:] != uniq_gb[:-1]
-        cell_starts = np.flatnonzero(cell_new)
-        offsets = np.append(cell_starts, len(uniq_k)).astype(np.int32)
-        rows_gb = uniq_gb[cell_starts]
-        # total input rows per cell: run lengths over the sorted gb
-        gb_starts = np.flatnonzero(
-            np.concatenate(([True], gs[1:] != gs[:-1]))
-        )
-        rows_n = np.diff(np.append(gb_starts, n))
-        keys_arr = pa.ListArray.from_arrays(
-            pa.array(offsets, pa.int32()), pa.array(uniq_k, pa.int64())
-        )
-        return pa.Table.from_pydict(
-            {
-                "gb": pa.array(rows_gb, pa.int64()),
-                "keys": keys_arr,
-                "rows": pa.array(rows_n, pa.int64()),
-            }
-        )
+        return _bundle(g, k, np.ones(len(k), dtype=np.int64), nb)
 
     bundles = ds.map_batches(bundle, batch_format="pyarrow")
+    if n_buckets is None:
+        bundles = bundles.materialize()  # the exchange's own input: no extra pass
+        width = exchange_width(bundles.size_bytes(), nb)
+        if width > nb:
+            bundles = bundles.map_batches(_rebundle(nb, width), batch_format="pyarrow")
+            nb = width
 
     def merge_partition(t: pa.Table) -> pa.Table:
         """Multi-cell kernel for the task exchange: every co-located
@@ -125,7 +156,7 @@ def grouped_distinct_counts(
         pair_new = np.r_[True, (gs[1:] != gs[:-1]) | (ks[1:] != ks[:-1])]
         uniq_gb = gs[pair_new]
         cell_starts = np.flatnonzero(np.r_[True, uniq_gb[1:] != uniq_gb[:-1]])
-        cell_g = uniq_gb[cell_starts] // n_buckets
+        cell_g = uniq_gb[cell_starts] // nb
         nd_per_cell = np.diff(np.append(cell_starts, len(uniq_gb)))
         g_starts = np.flatnonzero(np.r_[True, cell_g[1:] != cell_g[:-1]])
         g_vals = cell_g[g_starts]
@@ -133,7 +164,7 @@ def grouped_distinct_counts(
         # row totals per group: same sorted-unique group order (every
         # bundle row carries >=1 key, so both passes see the same set)
         rows = t["rows"].to_numpy(zero_copy_only=False).astype(np.int64)
-        g_of_rows = gb // n_buckets
+        g_of_rows = gb // nb
         order2 = np.argsort(g_of_rows, kind="stable")
         g2, r2 = g_of_rows[order2], rows[order2]
         s2 = np.flatnonzero(np.r_[True, g2[1:] != g2[:-1]])
@@ -148,7 +179,7 @@ def grouped_distinct_counts(
 
     from tilecloud_chain_ray.util import exchange_aggregate, hash_group_blocks
 
-    partials = hash_group_blocks(bundles, ["gb"], merge_partition)
+    partials = hash_group_blocks(bundles, ["gb"], merge_partition, num_partitions=nb)
     return exchange_aggregate(
         partials,
         ["g"],

@@ -2,15 +2,16 @@
 
 The engine's other joins broadcast the small side (geometry, dims,
 key sets); when both sides are big, the portable Ray Data pattern is an
-explicit bucketed join (ray guide "Joins and lookups"): tag each side,
-bucket rows by ``hash(key) % B``, union the two tagged streams, group
-by bucket, and merge each bucket's sides with a pandas join.  Only the
-projected join columns should be fed in (project before joining).
+explicit partitioned join (ray guide "Joins and lookups"): tag each
+side, union the two tagged streams, hash-partition them on the join key
+(util.hash_group_blocks), and merge each partition's sides with a pandas
+join.  Only the projected join columns should be fed in (project before
+joining).
 
 Ray's native ``Dataset.join`` (hash-partitioned) exists in recent
 releases; this implementation is version-portable and makes the
-partitioning/skew knobs explicit (``n_buckets``; salt hot keys by
-bumping it).
+partitioning/skew knobs explicit (``n_buckets`` is the requested
+exchange width; hot keys go through ``skew_keys``).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import pandas as pd
 import pyarrow as pa
 import ray
 
-from tilecloud_chain_ray.util import default_buckets
 
 
 def _output_schema(
@@ -35,7 +35,7 @@ def _output_schema(
     value columns widen to float64 only under ``how="left"`` (the only
     case where the merge itself pads them with nulls — inner joins and
     the left side of a left join keep their integer types); everything
-    else keeps its arrow type.  Both the bucketed and the skew paths
+    else keeps its arrow type.  Both the partitioned and the skew paths
     cast to this, so no block or parquet file can drift (Ray's pandas
     conversion otherwise null-types all-NaN columns per group)."""
     fields = [pa.field(on, pa.int64())]
@@ -64,7 +64,7 @@ def _column_maps(
     left_cols: list[str], right_cols: list[str], suffixes: tuple[str, str]
 ) -> tuple[dict[str, str], dict[str, str]]:
     """Collision-suffixed output names for each side's non-key columns
-    (shared by the bucketed and skew join paths so they stay in sync)."""
+    (shared by the partitioned and skew join paths so they stay in sync)."""
     collisions = set(left_cols) & set(right_cols)
     lmap = {c: c + suffixes[0] if c in collisions else c for c in left_cols}
     rmap = {c: c + suffixes[1] if c in collisions else c for c in right_cols}
@@ -86,13 +86,17 @@ def hash_join(
     ``how``: inner | left.  Output columns: join key + both sides'
     other columns (suffixed on collision).
 
-    Skew: bucketing by key hash cannot split a single hot key — all of
-    a hot key's rows land in one bucket no matter how large
-    ``n_buckets`` is.  Pass the hot keys via ``skew_keys`` (from domain
+    ``n_buckets`` is the requested exchange width (default: one
+    partition per cluster core); the exchange raises it further when
+    the input's bytes call for it (util.hash_group_blocks).
+
+    Skew: partitioning by key hash cannot split a single hot key — all
+    of a hot key's rows land in one partition no matter how wide the
+    exchange is.  Pass the hot keys via ``skew_keys`` (from domain
     knowledge or a cheap sampled count) and they take a broadcast
     map-side path: their RIGHT rows are collected (must be the small
     side per hot key — the usual many-left × few-right skew), joined
-    against left batches with no shuffle, and unioned with the bucketed
+    against left batches with no shuffle, and unioned with the partitioned
     join of the remaining keys.
 
     ``skew_keys="auto"`` detects the hot keys itself with one
@@ -103,8 +107,6 @@ def hash_join(
     materialized first so the detection scan and the join both read it
     from the object store instead of re-running the upstream pipeline.
     """
-    if n_buckets is None:
-        n_buckets = default_buckets()
     if how not in ("inner", "left"):
         raise ValueError(how)
     if isinstance(skew_keys, str):
@@ -122,17 +124,6 @@ def hash_join(
         skew_keys = hot["key"].to_pylist() or None
     if skew_keys:
         return _skew_join(left, right, on, how, n_buckets, suffixes, skew_keys)
-
-    def tag(side: int):
-        def fn(batch: pa.Table) -> pa.Table:
-            k = batch[on].to_numpy(zero_copy_only=False).astype(np.uint64)
-            bucket = (((k * np.uint64(0x9E3779B1)) & np.uint64(0x7FFFFFFF)) % np.uint64(n_buckets)).astype(np.int64)
-            out = batch.append_column("__bucket", pa.array(bucket, pa.int64()))
-            return out.append_column(
-                "__side", pa.array(np.full(len(k), side, dtype=np.int8), pa.int8())
-            )
-
-        return fn
 
     # union of tagged sides: schemas differ -> pad each side with the
     # other side's columns as nulls so the union has one schema
@@ -165,26 +156,21 @@ def hash_join(
                     cols[lmap[c]] = pa.nulls(n, type=ltypes[c])
                 for c in right_cols:
                     cols[rmap[c]] = batch[c]
-            cols["__bucket"] = batch["__bucket"]
-            cols["__side"] = batch["__side"]
+            cols["__side"] = pa.array(np.full(n, side, dtype=np.int8), pa.int8())
             return pa.Table.from_pydict(cols)
 
         return fn
 
-    lt = left.map_batches(tag(0), batch_format="pyarrow").map_batches(
-        widen(0), batch_format="pyarrow"
+    both = left.map_batches(widen(0), batch_format="pyarrow").union(
+        right.map_batches(widen(1), batch_format="pyarrow")
     )
-    rt = right.map_batches(tag(1), batch_format="pyarrow").map_batches(
-        widen(1), batch_format="pyarrow"
-    )
-    both = lt.union(rt)
 
     lcols_out = [lmap[c] for c in left_cols]
     rcols_out = [rmap[c] for c in right_cols]
 
-    def join_bucket(batch: pa.Table) -> pa.Table:
-        # pandas merge joins on key equality, so several __bucket
-        # groups co-located in one hash partition merge identically
+    def join_partition(batch: pa.Table) -> pa.Table:
+        # every row of a key is in this partition, next to other keys:
+        # pandas merge joins on key equality, so they merge independently
         group = batch.to_pandas()
         lhs = group[group["__side"] == 0][[on, *lcols_out]]
         rhs = group[group["__side"] == 1][[on, *rcols_out]]
@@ -196,8 +182,10 @@ def hash_join(
 
     from tilecloud_chain_ray.util import hash_group_blocks
 
-    # task exchange, not sort-groupby (zero-schema empty bundles)
-    return hash_group_blocks(both, ["__bucket"], join_bucket, num_partitions=n_buckets)
+    # task exchange on the join key itself, not sort-groupby
+    # (zero-schema empty bundles) and not a salt column: a salt fixed at
+    # plan time would cap how far the exchange can widen for its bytes
+    return hash_group_blocks(both, [on], join_partition, num_partitions=n_buckets)
 
 
 def _skew_join(
@@ -205,11 +193,11 @@ def _skew_join(
     right: ray.data.Dataset,
     on: str,
     how: str,
-    n_buckets: int,
+    n_buckets: int | None,
     suffixes: tuple[str, str],
     skew_keys: list[int],
 ) -> ray.data.Dataset:
-    """Hot keys broadcast map-side, cold keys through the bucketed
+    """Hot keys broadcast map-side, cold keys through the partitioned
     join (see hash_join docstring).
 
     Both inputs are consumed by two filters each (hot / cold), so each
@@ -217,7 +205,7 @@ def _skew_join(
     pipeline + zero-copy object-store reads for the two filters,
     instead of re-running the upstream twice.  The union's schema is
     made deterministic by casting every integer value column to
-    float64 on BOTH paths (the bucketed path's null-padding does this
+    float64 on BOTH paths (the partitioned path's null-padding does this
     implicitly; without the explicit cast the hot path emits int64
     blocks and the output parquet would carry per-file schema drift).
     """
@@ -234,7 +222,7 @@ def _skew_join(
 
         return ds.map_batches(fn, batch_format="pyarrow")
 
-    # same output-column naming as the bucketed path
+    # same output-column naming as the partitioned path
     left_schema, right_schema = left.schema(), right.schema()
     left_cols = [c for c in left_schema.names if c != on]
     right_cols = [c for c in right_schema.names if c != on]
@@ -331,39 +319,22 @@ def asof_join(
     """As-of join: for each left row, the latest right row of the same
     ``key`` with ``right.ts < left.ts`` (``strict``) or ``<=``.
 
-    SURVEY.md "custom operators" shape (a), bucketed: both sides land
-    in ``hash(key) % n_buckets`` groups (same multiplicative hash as
-    ``hash_join``), so the shuffle's distinct-group count is bounded by
-    ``n_buckets`` — NOT by distinct keys, which is row-scale for
-    clickstreams and the shape BASELINE.md's ledger measured at ~30x
-    slower (per-group scheduling ~1 ms × millions of keys).  Inside a
-    bucket ONE vectorized ``pd.merge_asof(..., by=key)`` handles every
-    key at once.  Each key's full history co-locates in its bucket —
-    the standard as-of partitioning assumption; salt by time range when
-    a single key's history is huge.
+    SURVEY.md "custom operators" shape (a), partitioned: both sides
+    hash-partition on ``key`` (util.hash_group_blocks), so the exchange
+    runs one task per partition — NOT one group per distinct key, which
+    is row-scale for clickstreams and the shape BASELINE.md's ledger
+    measured at ~30x slower (per-group scheduling ~1 ms × millions of
+    keys).  Inside a partition ONE vectorized ``pd.merge_asof(...,
+    by=key)`` handles every key at once.  Each key's full history
+    co-locates in its partition — the standard as-of partitioning
+    assumption; salt by time range when a single key's history is huge.
+    ``n_buckets`` is the requested exchange width, as in ``hash_join``.
     """
-    if n_buckets is None:
-        n_buckets = default_buckets()
-
-    def tag(side: int):
-        def fn(batch: pa.Table) -> pa.Table:
-            k = batch[key].to_numpy(zero_copy_only=False).astype(np.uint64)
-            bucket = (
-                ((k * np.uint64(0x9E3779B1)) & np.uint64(0x7FFFFFFF))
-                % np.uint64(n_buckets)
-            ).astype(np.int64)
-            out = batch.append_column("__bucket", pa.array(bucket, pa.int64()))
-            return out.append_column(
-                "__side",
-                pa.array(np.full(batch.num_rows, side, dtype=np.int8), pa.int8()),
-            )
-
-        return fn
 
     left_schema = left.schema()
     left_cols = [c for c in left_schema.names if c not in (key, ts)]
     # The null-padded union makes every left column nullable, so pandas
-    # upcasts ints to float64 inside merge_bucket; remember each integral
+    # upcasts ints to float64 inside merge_partition; remember each integral
     # left column's ORIGINAL width so we can cast back (int32 stays
     # int32).  Left rows CAN carry real nulls, so the cast is per-group
     # conditional — a column with NaN in this group passes through as
@@ -384,33 +355,32 @@ def asof_join(
     def widen(side: int):
         def fn(batch: pa.Table) -> pa.Table:
             n = batch.num_rows
-            cols: dict = {key: batch[key], ts: batch[ts], "__side": batch["__side"]}
+            cols: dict = {
+                key: batch[key],
+                ts: batch[ts],
+                "__side": pa.array(np.full(n, side, dtype=np.int8), pa.int8()),
+            }
             for c in left_cols:
                 cols[c] = batch[c] if side == 0 else pa.nulls(n, type=ltypes[c])
             for c in right_cols:
                 cols["r_" + c] = batch[c] if side == 1 else pa.nulls(n, type=rtypes[c])
-            cols["__bucket"] = batch["__bucket"]
             return pa.Table.from_pydict(cols)
 
         return fn
 
-    lt = left.map_batches(tag(0), batch_format="pyarrow").map_batches(
-        widen(0), batch_format="pyarrow"
+    both = left.map_batches(widen(0), batch_format="pyarrow").union(
+        right.map_batches(widen(1), batch_format="pyarrow")
     )
-    rt = right.map_batches(tag(1), batch_format="pyarrow").map_batches(
-        widen(1), batch_format="pyarrow"
-    )
-    both = lt.union(rt)
     rcols = ["r_" + c for c in right_cols]
 
-    def merge_bucket(batch: pa.Table) -> pd.DataFrame:
+    def merge_partition(batch: pa.Table) -> pd.DataFrame:
         # merge_asof(by=) wants both frames globally sorted by ts only;
-        # by=key keeps co-located __bucket groups independent
+        # by=key keeps the partition's co-located keys independent
         group = batch.to_pandas()
         lhs = group[group["__side"] == 0].sort_values(ts, kind="mergesort")
         rhs = group[group["__side"] == 1].sort_values(ts, kind="mergesort")
         if lhs.empty:
-            return lhs.drop(columns=["__side", "__bucket"])
+            return lhs.drop(columns=["__side"])
         merged = pd.merge_asof(
             lhs[[key, ts, *left_cols]],
             rhs[[key, ts, *rcols]],
@@ -426,4 +396,4 @@ def asof_join(
 
     from tilecloud_chain_ray.util import hash_group_blocks
 
-    return hash_group_blocks(both, ["__bucket"], merge_bucket, num_partitions=n_buckets)
+    return hash_group_blocks(both, [key], merge_partition, num_partitions=n_buckets)

@@ -1,4 +1,4 @@
-"""Salted sessionize: gap-based session assignment over an event
+"""Partitioned sessionize: gap-based session assignment over an event
 stream (the streaming-shaped windowed aggregate of SURVEY.md §2.9;
 reference analog: the per-run event accounting the database logger
 groups by run, ``/root/reference/tilecloud_chain/database_logger.py``).
@@ -7,35 +7,24 @@ A naive ``events.groupby(user_id).map_groups(...)`` creates ONE Ray
 group per distinct user — row-scale key cardinality for clickstreams,
 the exact shuffle shape BASELINE.md's ledger measured ~30x slower than
 a salted bucket groupby (per-group scheduling ~1 ms x millions of
-keys).  Here both the shuffle's distinct-group count is bounded by
-``n_buckets`` (``hash(key) % n_buckets``, every key's full history
-co-locating in its bucket) and the per-bucket kernel is ONE vectorized
-numpy pass over ALL users in the bucket at once — no per-user Python.
+keys).  Here the events hash-partition on the key
+(util.hash_group_blocks; ``n_buckets`` is the requested width, every
+key's full history co-locating in its partition) and the per-partition
+kernel is ONE vectorized numpy pass over ALL users in the partition at
+once — no per-user Python.
 
 Partitioning assumption (same as :func:`~.join.asof_join`): a single
-key's events fit in one bucket's group.  Salt by time range if one
-key's history is itself huge.
+key's events fit in one partition.  Salt by time range if one key's
+history is itself huge.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import ray
 
-from tilecloud_chain_ray.util import default_buckets, hash_group_blocks, strip_meta
-
-
-def _key_buckets(values: np.ndarray, n_buckets: int) -> np.ndarray:
-    """Deterministic bucket per key; vectorized for int and string keys."""
-    if np.issubdtype(values.dtype, np.integer):
-        k = values.astype(np.uint64)
-        return (
-            ((k * np.uint64(0x9E3779B1)) & np.uint64(0x7FFFFFFF)) % np.uint64(n_buckets)
-        ).astype(np.int64)
-    hashed = pd.util.hash_array(np.asarray(values, dtype=object))
-    return (hashed % np.uint64(n_buckets)).astype(np.int64)
+from tilecloud_chain_ray.util import hash_group_blocks, strip_meta
 
 
 def session_counts(
@@ -52,9 +41,6 @@ def session_counts(
 
     Returns a Dataset of ``(key, n_sessions)``.
     """
-    if n_buckets is None:
-        n_buckets = default_buckets()
-
     sort_cols = [key, ts] + ([tie] if tie else [])
 
     def bucket_sessions(batch: pa.Table) -> pa.Table:
@@ -102,9 +88,6 @@ def assign_sessions(
     numbering each key's sessions 0,1,2,... in time order.  Same salted
     shuffle as :func:`session_counts`; the kernel stays one vectorized
     pass (cumsum of session starts minus each key's base)."""
-    if n_buckets is None:
-        n_buckets = default_buckets()
-
     sort_cols = [key, ts] + ([tie] if tie else [])
 
     def bucket_assign(batch: pa.Table) -> pa.Table:

@@ -65,6 +65,47 @@ def approx_distinct(ds: ray.data.Dataset, col: str, p: int = 12) -> float:
     return _hll_estimate(merged)
 
 
+def _hll_merge_kernel(group_col: str, out_col: str, p: int):
+    """Task-exchange kernel for :func:`grouped_approx_distinct`: every
+    group co-located in one hash partition merges in one
+    register-matrix pass (flatten the fixed-width regs lists to
+    (rows, 2^p), sort by group code, register-wise
+    ``np.maximum.reduceat`` per group run).
+
+    Null groups are dropped, matching the per-block sketch pass (its
+    ``df.groupby`` skips null keys, so the library's own sketch tables
+    carry none — the guard is for sketch tables built elsewhere):
+    ``pd.factorize`` codes a null as -1, which sorts ahead of every
+    real group, and ``uniques[-1]`` would then label the null group's
+    registers with the LAST real group — a duplicate, wrongly
+    estimated row."""
+    import pandas as pd
+    import pyarrow.compute as pc
+
+    def merge_partition(t: pa.Table) -> pa.Table:
+        if t.num_rows and t[group_col].null_count:
+            t = t.filter(pc.is_valid(t[group_col]))
+        if t.num_rows == 0:
+            return pa.table({})  # dropped driver-side by count
+        codes, uniques = pd.factorize(t[group_col].to_pandas(), sort=True)
+        regs = (
+            t["regs"].combine_chunks().flatten().to_numpy(zero_copy_only=False)
+        ).reshape(t.num_rows, 1 << p)
+        order = np.argsort(codes, kind="stable")
+        sc, sr = codes[order], regs[order]
+        starts = np.flatnonzero(np.r_[True, sc[1:] != sc[:-1]])
+        merged = np.maximum.reduceat(sr, starts, axis=0).astype(np.uint8)
+        ests = [int(round(_hll_estimate(m))) for m in merged]
+        return pa.table(
+            {
+                group_col: pa.array(np.asarray(uniques)[sc[starts]]),
+                out_col: pa.array(ests, pa.int64()),
+            }
+        )
+
+    return merge_partition
+
+
 def grouped_approx_distinct(
     ds: ray.data.Dataset,
     group_col: str,
@@ -98,33 +139,10 @@ def grouped_approx_distinct(
             }
         )
 
-    def merge_partition(t: pa.Table) -> pa.Table:
-        """Task-exchange kernel: every group co-located in this hash
-        partition merges in one register-matrix pass (flatten the
-        fixed-width regs lists to (rows, 2^p), sort by group code,
-        register-wise ``np.maximum.reduceat`` per group run)."""
-        if t.num_rows == 0:
-            return pa.table({})  # dropped driver-side by count
-        codes, uniques = pd.factorize(t[group_col].to_pandas(), sort=True)
-        regs = (
-            t["regs"].combine_chunks().flatten().to_numpy(zero_copy_only=False)
-        ).reshape(t.num_rows, 1 << p)
-        order = np.argsort(codes, kind="stable")
-        sc, sr = codes[order], regs[order]
-        starts = np.flatnonzero(np.r_[True, sc[1:] != sc[:-1]])
-        merged = np.maximum.reduceat(sr, starts, axis=0).astype(np.uint8)
-        ests = [int(round(_hll_estimate(m))) for m in merged]
-        return pa.table(
-            {
-                group_col: pa.array(np.asarray(uniques)[sc[starts]]),
-                out_col: pa.array(ests, pa.int64()),
-            }
-        )
-
     from tilecloud_chain_ray.util import hash_group_blocks
 
     sketches = ds.map_batches(sketch_batch, batch_format="pyarrow")
-    return hash_group_blocks(sketches, [group_col], merge_partition)
+    return hash_group_blocks(sketches, [group_col], _hll_merge_kernel(group_col, out_col, p))
 
 
 # -- t-digest: mergeable approximate quantiles ------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from typing import Any, Callable
 
 # Per-worker-process object cache: lets a *task-based* map_batches stage
@@ -29,24 +30,52 @@ def process_cached(key: Any, factory: Callable[[], Any]) -> Any:
     return obj
 
 
-def default_buckets(floor: int = 32, per_core: float = 1.0) -> int:
-    """Cluster-proportional salt for bucketed shuffles (join / bloom /
-    dedup / density / sessionize): ~``per_core`` buckets per cluster
-    core with a floor.
+def default_buckets(per_core: float = 1.0) -> int:
+    """Cluster-proportional width for bucketed shuffles (join / bloom /
+    dedup / density / sessionize): ``per_core`` buckets per cluster
+    core, at least one.
 
     The bucketed-groupby pattern pays a fixed scheduling cost per
     bucket and parallelizes at bucket granularity, so the right width
     tracks total cores, not a constant: the density ledger measured
     256 fixed buckets = 1.5-2.2 s vs 32 = 0.7-0.95 s on a 341-tile
-    output at 32 cpus, while a 256-node cluster wants thousands.  The
-    floor keeps skew tolerable when a couple of buckets go hot."""
-    try:
-        import ray
+    output at 32 cpus, while a 256-node cluster wants thousands.  There
+    is no fixed floor: a partition per core is all the parallelism a
+    small cluster can use, and every extra partition is one more merge
+    task and ``blocks`` more driver refs (on 1 CPU a 1k-row aggregate
+    took 0.021 s at width 1 and 0.183 s at width 32).
 
-        cpus = int(ray.cluster_resources().get("CPU", floor))
-    except Exception:  # pragma: no cover - no cluster yet
-        cpus = floor
-    return max(floor, int(cpus * per_core))
+    The count is whatever the cluster reports when this is called: 0
+    (a head started with ``num_cpus=0``, workers not yet joined) gives
+    1, and with no cluster up it is this host's CPU count — what a
+    local ``ray.init()`` would start.  Memory does not depend on it:
+    :func:`exchange_width` raises every exchange to its input's bytes,
+    and the library's exchanges partition on their natural keys (no
+    salt column fixed from this count), so that raise always spreads
+    rows."""
+    import ray
+
+    try:
+        cpus = int(ray.cluster_resources().get("CPU", 1))
+    except ray.exceptions.RaySystemError:  # no cluster yet: size to this host
+        cpus = os.cpu_count() or 1
+    return max(1, int(cpus * per_core))
+
+
+def exchange_width(in_bytes: int, num_partitions: int | None = None) -> int:
+    """Partition count of a task exchange over ``in_bytes`` of input:
+    ``num_partitions`` (default :func:`default_buckets`) raised to
+    ``ceil(in_bytes / DataContext.target_max_block_size)``, so a merge
+    task concatenates about one Ray Data target block (128 MiB) of
+    input at most — provided the partition key has at least that many
+    distinct values.  :func:`hash_group_blocks` sizes itself with it;
+    a caller whose per-block combiner emits one row per salt value
+    (``stages/distinct``) sizes its salt with it too."""
+    import ray
+
+    width = num_partitions or default_buckets()
+    target = ray.data.DataContext.get_current().target_max_block_size
+    return max(width, -(-in_bytes // target)) if target else width
 
 
 def strip_meta(batch):
@@ -59,24 +88,6 @@ def strip_meta(batch):
     at the read layer.  Call at every shuffle entry point whose input
     may have passed through a pandas stage."""
     return batch.replace_schema_metadata(None) if batch.schema.metadata else batch
-
-
-def strip_schema_metadata(batch):
-    """Drop Arrow schema-level metadata (zero-copy: new schema object,
-    same buffers).
-
-    Parquet files written by pandas/pyarrow carry a ``b"pandas"``
-    schema-metadata dict; a ``pyarrow.Schema`` with non-empty metadata
-    is UNHASHABLE (``hash(schema)`` raises ``unhashable type: 'dict'``),
-    which silently defeats Ray Data's per-reduce-task schema
-    deduplication in every shuffle the blocks flow through
-    (``transform_pyarrow.unify_schemas`` falls back to the expensive
-    unify path and logs a warning per reduce task).  Stripping at the
-    read boundary keeps every downstream block hashable.
-    """
-    if batch.schema.metadata:
-        return batch.replace_schema_metadata(None)
-    return batch
 
 
 def _stripped_read_schema(paths, columns):
@@ -113,7 +124,7 @@ def _stripped_read_schema(paths, columns):
 
 def read_parquet_clean(paths, **kwargs):
     """``ray.data.read_parquet`` with hashable (metadata-free) block
-    schemas; see :func:`strip_schema_metadata`.
+    schemas; see :func:`strip_meta`.
 
     Passes an explicit stripped ``schema=`` when one can be derived
     from the first file (kills the slow unify + warning *inside* the
@@ -127,7 +138,7 @@ def read_parquet_clean(paths, **kwargs):
         if schema is not None:
             kwargs["schema"] = schema
     return ray.data.read_parquet(paths, **kwargs).map_batches(
-        strip_schema_metadata, batch_format="pyarrow"
+        strip_meta, batch_format="pyarrow"
     )
 
 
@@ -270,14 +281,26 @@ def hash_group_blocks(ds, keys, kernel, num_partitions=None):
     repo's kernels are vectorized multi-group passes).  Empty
     partitions never produce a block: merge tasks report row counts
     and the driver drops empty outputs before ``from_arrow_refs``.
-    Deterministic, retry-safe (stateless tasks), and the exchange
-    width is explicit — ``num_partitions`` defaults to
-    :func:`default_buckets` so it widens with the cluster.
+    Deterministic and retry-safe (stateless tasks).
 
-    Driver footprint at scale: the driver holds ``blocks ×
-    num_partitions`` ObjectRefs (the split outputs) — at ~100 bytes a
-    ref, a 100k-block input through a 1024-wide exchange is ~10 GB of
-    driver refs, which is the practical ceiling.  The repo's callers
+    Width: :func:`exchange_width` — ``num_partitions`` (default
+    :func:`default_buckets`, one partition per cluster core) raised to
+    ``ceil(input bytes / DataContext.target_max_block_size)``; the
+    bytes are summed from the materialized block metadata, so sizing
+    costs no extra pass.  A small input on a small cluster therefore
+    runs at width 1: one merge task over every input block, no split
+    layer.  The raise bounds a merge task to about one Ray Data target
+    block (128 MiB) of input only if ``keys`` spread the rows: hash
+    the natural key, not a salt column whose cardinality was fixed
+    before the width was known (a 1-value salt puts every row in one
+    partition at any width).  Kernels must only rely on key
+    co-location — the exchange may run wider than requested, and
+    every partition may hold many keys.
+
+    Driver footprint at scale: above width 1 the driver holds
+    ``blocks × width`` ObjectRefs (the split outputs) — at ~100 bytes
+    a ref, a 100k-block input through a 1024-wide exchange is ~10 GB
+    of driver refs, which is the practical ceiling.  The repo's callers
     stay far under it because every exchange input is a COMBINER
     OUTPUT (one small partial block per input block, so ``blocks`` ~
     read parallelism, not row count); for a raw-row exchange at that
@@ -287,9 +310,6 @@ def hash_group_blocks(ds, keys, kernel, num_partitions=None):
     """
     import pyarrow as pa
     import ray
-
-    if num_partitions is None:
-        num_partitions = default_buckets()
 
     @ray.remote
     def _split(tbl: pa.Table, np_: int, key_cols: tuple) -> list:
@@ -319,14 +339,15 @@ def hash_group_blocks(ds, keys, kernel, num_partitions=None):
 
     mat = ds.materialize()
     all_refs: list = []
+    block_refs: list = []
+    in_bytes = 0
     try:
-        all_refs = [blk for bundle in mat.iter_internal_ref_bundles() for blk, _ in bundle.blocks]
-        block_refs = [
-            blk
-            for bundle in mat.iter_internal_ref_bundles()
-            for blk, meta in bundle.blocks
-            if meta.num_rows is None or meta.num_rows > 0
-        ]
+        for bundle in mat.iter_internal_ref_bundles():
+            for blk, meta in bundle.blocks:
+                all_refs.append(blk)
+                if meta.num_rows is None or meta.num_rows > 0:
+                    block_refs.append(blk)
+                    in_bytes += meta.size_bytes or 0
     except Exception:  # metadata API drift: take every block
         block_refs = list(mat.to_arrow_refs())
     if not block_refs:
@@ -346,6 +367,7 @@ def hash_group_blocks(ds, keys, kernel, num_partitions=None):
         if not isinstance(out, pa.Table):
             out = pa.Table.from_pandas(out, preserve_index=False)
         return ray.data.from_arrow(strip_meta(out))
+    num_partitions = exchange_width(in_bytes, num_partitions)
     kern_ref = ray.put(kernel)
     out_refs, count_refs = [], []
     if num_partitions == 1:
@@ -380,7 +402,7 @@ def exchange_aggregate(ds, keys, aggs, names, num_partitions=None):
     per agg — ``names`` renames that full output).  Drop-in for
     ``ds.groupby(keys).aggregate(...)`` when the caller already ships
     per-block partials: same exactness, no sort, no zero-schema empty
-    bundles, and the exchange width follows :func:`default_buckets`."""
+    bundles, and the exchange width is sized as in :func:`hash_group_blocks`."""
 
     import pyarrow as pa
 
