@@ -271,7 +271,6 @@ def scaling_workload(num_cpus: int) -> dict:
             layer,
             zooms=[0, 1, 2, 3, 4, 5, 6],
             with_summary=False,
-            concurrency=(1, num_cpus),
             n_buckets=2 * num_cpus,  # salt sized to the cluster, as a real job would
         )
         n_tiles = result.tiles.count()

@@ -152,20 +152,18 @@ def main() -> None:
 
         layer = Layer(name="page_density", grid=WEBMERC, meta=False)
         zs = tuple(zooms or range(9))
-        # pixel res = zoom + 8; the geocode cell res must be at least as
-        # fine or the density partials silently collapse (shift < 0).
-        cell_res = args.cell_res or max(14, max(zs) + 8)
-        if cell_res < max(zs) + 8:
-            ap.error(f"--cell-res {cell_res} too coarse for max zoom {max(zs)} (need >= zoom+8)")
-        tiles, summary = density_resumable(
-            args.pages,
-            layer,
-            args.out,
-            zooms=zs,
-            cell_res=cell_res,
-            job_id=args.job_id,
-            out_wmts=os.path.join(args.out, "wmts"),
-        )
+        try:
+            tiles, summary = density_resumable(
+                args.pages,
+                layer,
+                args.out,
+                zooms=zs,
+                cell_res=args.cell_res or max(14, max(zs) + 8),
+                job_id=args.job_id,
+                out_wmts=os.path.join(args.out, "wmts"),
+            )
+        except ValueError as exc:  # e.g. --cell-res too coarse for the zooms
+            ap.error(str(exc))
         if tiles is not None:
             # materialize (not count): count() runs a derived plan and
             # leaves the handle without execution stats

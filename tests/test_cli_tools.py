@@ -185,3 +185,41 @@ def test_daemon_watch_loop(config_path, tmp_path):
 
     pngs = sorted(glob.glob(str(out / "**" / "*.png"), recursive=True))
     assert [p.split("swissgrid_5/")[1] for p in pngs] == ["3/58/70.png", "3/78/42.png"]
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_run_pyramid_pages_resume(tmp_path):
+    """run_pyramid.py --pages is the checkpointed density job: a second
+    run over the same shards skips both and reports the same tiles; a
+    cell resolution too coarse for the zooms is rejected with the
+    library's message as a usage error."""
+    import os
+
+    import ray
+
+    from tilecloud_chain_ray.sources.pages import synthesize_pages
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    pages = tmp_path / "pages"
+    synthesize_pages(str(pages), 1000, avg_html=64, rows_per_file=500)  # 2 shards
+    env = {**os.environ, "RAY_ADDRESS": ray.get_runtime_context().gcs_address}
+
+    def run(*extra):
+        return subprocess.run(
+            [sys.executable, "jobs/run_pyramid.py", "--pages", str(pages),
+             "--out", str(tmp_path / "out"), "--zooms", "0-2", *extra],
+            capture_output=True, text=True, cwd=root, env=env,
+        )
+
+    def summary(proc):
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.strip().splitlines()[-1])
+
+    first, second = summary(run()), summary(run())
+    assert first["partitions_done"] == 2 and first["partitions_skipped"] == 0
+    assert second["partitions_skipped"] == 2 and second["partitions_error"] == 0
+    assert second["tiles"] == first["tiles"] > 0
+
+    coarse = run("--cell-res", "9")
+    assert coarse.returncode == 2
+    assert "need pixel res > cell_res 9" in coarse.stderr

@@ -365,6 +365,19 @@ def test_knn_lsh_recall():
 
 
 @pytest.mark.usefixtures("ray_session")
+def test_knn_input_without_blocks():
+    """An input with no blocks reaches the top-k kernels as the
+    exchange's zero-column probe: 0 rows back, not a KeyError."""
+    from tilecloud_chain_ray.functions.cells import cell_id
+    from tilecloud_chain_ray.grid import WEBMERC
+
+    empty = ray.data.from_items([])
+    qc = int(cell_id(np.array([3], np.uint64), np.array([5], np.uint64), 12)[0])
+    assert knn_mod.knn_cell(empty, [qc], WEBMERC.bbox, k=2).count() == 0
+    assert knn_mod.knn_lsh(empty, np.ones((2, 4)), k=2).count() == 0
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_minhash_dedup_pairs_fast_path():
     """The 3-execution driver path finds the same planted dups as the
     staged candidates+verify pipeline."""

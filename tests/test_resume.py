@@ -383,3 +383,77 @@ def test_curate_resumable_shard_set_changes(tmp_path):
     stream = curate_corpus(ray.data.read_parquet(current), **kw).survivors.to_pandas()
     resumed = r2.survivors.to_pandas()
     assert set(resumed["doc_id"]) == set(stream["doc_id"])
+
+
+def _density_rows(tiles):
+    return sorted((r["z"], r["x"], r["y"], r["status"], r["data"]) for r in tiles.take_all())
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_density_resumable_shard_set_changes(tmp_path):
+    """Resume identity is the shard PATH, not its sorted position:
+    adding a shard that sorts FIRST and removing another between runs
+    must neither reprocess committed shards nor leak the removed
+    shard's partial into phase 2."""
+    import shutil
+
+    from tilecloud_chain_ray.config import Layer
+    from tilecloud_chain_ray.grid import WEBMERC
+    from tilecloud_chain_ray.pipelines.density_resumable import density_resumable
+    from tilecloud_chain_ray.sources.pages import synthesize_pages
+
+    pages = tmp_path / "pages"
+    synthesize_pages(str(pages), 2000, avg_html=64, rows_per_file=500)  # 4 shards
+    shards = sorted(pages.iterdir())
+    held = tmp_path / shards[0].name
+    shutil.move(str(shards[0]), str(held))  # run 1 without the first shard
+    lay = Layer(name="pages_density", grid=WEBMERC, meta=False)
+    kw = dict(zooms=(0, 1, 2), cell_res=12)
+    out = str(tmp_path / "density")
+    _, s1 = density_resumable(str(pages), lay, out, **kw)
+    assert s1["partitions_done"] == 3 and s1["partitions_error"] == 0
+    partials_dir = os.path.join(out, "partials")
+    finish_before = {pid: r.finished_at for pid, r in lin.load_records(partials_dir).items()}
+
+    shutil.move(str(held), str(shards[0]))  # sorts before every committed shard
+    shards[-1].unlink()
+    tiles, s2 = density_resumable(str(pages), lay, out, **kw)
+    assert s2["partitions_total"] == 3
+    assert s2["partitions_skipped"] == 2, "the two committed shards left must be skipped"
+    assert s2["partitions_done"] == 3 and s2["partitions_error"] == 0
+    after = lin.load_records(partials_dir)
+    for pid, t in finish_before.items():
+        assert after[pid].finished_at == t, "committed shard was recomputed"
+
+    fresh, _ = density_resumable(str(pages), lay, str(tmp_path / "fresh"), **kw)
+    assert _density_rows(tiles) == _density_rows(fresh)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_density_resumable_equals_streaming(tmp_path):
+    """The checkpointed pyramid (one injected failure, then a resume)
+    and the streaming density_pyramid share the pixel kernel and the
+    tail: identical (z, x, y, status, data) rows."""
+    from tilecloud_chain_ray.config import Layer
+    from tilecloud_chain_ray.grid import WEBMERC
+    from tilecloud_chain_ray.pipelines.density import density_pyramid
+    from tilecloud_chain_ray.pipelines.density_resumable import density_resumable
+    from tilecloud_chain_ray.sources.pages import synthesize_pages
+    from tilecloud_chain_ray.stages.geocode import make_geocoder
+    from tilecloud_chain_ray.util import read_parquet_clean
+
+    pages = str(tmp_path / "pages")
+    synthesize_pages(pages, 1500, avg_html=64, rows_per_file=500)  # 3 shards
+    lay = Layer(name="pages_density", grid=WEBMERC, meta=False)
+    kw = dict(zooms=(0, 1, 2, 3), cell_res=12)
+    out = str(tmp_path / "density")
+    tiles, s1 = density_resumable(pages, lay, out, fail_partitions={1}, **kw)
+    assert tiles is None and s1["partitions_error"] == 1
+    tiles, s2 = density_resumable(pages, lay, out, **kw)
+    assert s2["partitions_skipped"] == 2 and s2["partitions_error"] == 0
+
+    geocoded = read_parquet_clean(pages, columns=["url"]).map_batches(
+        make_geocoder(WEBMERC.bbox, "url", 12), batch_format="pyarrow"
+    )
+    stream = density_pyramid(geocoded, lay, zooms=list(kw["zooms"]), with_summary=False)
+    assert _density_rows(tiles) == _density_rows(stream.tiles)

@@ -133,3 +133,25 @@ def test_bpe_training_order_independent(ray_session):
     t1 = train_bpe(ds, num_merges=40, sample_max_docs=100)
     t2 = train_bpe(ds2, num_merges=40, sample_max_docs=100)
     assert t1.merges == t2.merges and t1.vocab == t2.vocab
+
+
+def test_bpe_keyless_sample_covers_sorted_clusters(ray_session):
+    """Without a key column the sample is still bottom-n by a hash of
+    the text: on a corpus sorted into two disjoint-alphabet clusters it
+    covers both (``limit()`` saw only the first), and the merges do not
+    depend on input order."""
+    from tilecloud_chain_ray.stages.bpe import train_bpe
+
+    rng = np.random.default_rng(5)
+    first = ["alpha", "beta", "gamma", "delta"]
+    second = ["xyzzy", "quux", "vqvq", "wkwk"]
+    texts = [" ".join(rng.choice(first, 20)) for _ in range(200)]
+    texts += [" ".join(rng.choice(second, 20)) for _ in range(200)]
+    tbl = pa.table({"text": pa.array(texts, pa.string())})
+    ds = ray.data.from_arrow(tbl).repartition(4)
+    perm = np.random.default_rng(6).permutation(tbl.num_rows)
+    ds2 = ray.data.from_arrow(tbl.take(pa.array(perm))).repartition(3)
+    t1 = train_bpe(ds, num_merges=30, sample_max_docs=50)
+    t2 = train_bpe(ds2, num_merges=30, sample_max_docs=50)
+    assert set("xyzqvwk") <= set(t1.vocab) and set("alphbetgmd") <= set(t1.vocab)
+    assert t1.merges == t2.merges and t1.vocab == t2.vocab

@@ -16,8 +16,9 @@ chain a 100-TB pretraining pass runs:
     -> optional sequence packing (stages/scan.pack_shards) over the
        survivors' narrow (group, order, weight) projection.
 
-Scale notes: the only corpus-wide shuffle is the dedup groupby, salted
-to ``n_buckets`` (never one Ray group per distinct md5 — see
+Scale notes: the only corpus-wide shuffle is the dedup exchange,
+partitioned on the ``DEDUP_BUCKETS``-valued ``_bucket`` tag derived
+from the content md5 (never one Ray group per distinct md5 — see
 BASELINE.md's dedup ledger); every filter is fused into one
 ``map_batches`` pass over the text so bytes are read once.
 
@@ -49,6 +50,12 @@ from tilecloud_chain_ray.stages.curation import (
 )
 from tilecloud_chain_ray.stages.text import quality_score_batch, token_count_batch
 from tilecloud_chain_ray.util import hash_group_blocks, read_parquet_clean, strip_meta
+
+
+# Dedup-bucket count.  The bucket id is COMMITTED in curate_resumable's
+# partials, so it is a constant, never cluster-sized: mixed counts across
+# resume attempts would split identical md5s into different buckets.
+DEDUP_BUCKETS = 256
 
 
 @dataclasses.dataclass
@@ -130,9 +137,6 @@ def curate_corpus(
     bench_shingles: frozenset[str] | None = None,
     sample_rates: dict[str, float] | float | None = None,
     shard_budget: int | None = None,
-    n_buckets: int = 256,  # dedup-bucket id is COMMITTED in resumable partials:
-    # a fixed per-job constant, never cluster-sized (mixed counts across resume
-    # attempts would split identical md5s into different buckets)
     shard_bucket_size: int = 1 << 20,
     near_dedup_threshold: float | None = None,
     lm_max_ppl: float | None = None,
@@ -235,7 +239,7 @@ def curate_corpus(
     dedup_partition = make_dedup_partition(key_col)
 
     tagged = filtered.map_batches(
-        make_md5_bucket(text_col, n_buckets), batch_format="pyarrow"
+        make_md5_bucket(text_col, DEDUP_BUCKETS), batch_format="pyarrow"
     )
     # round 5: task-exchange instead of sort-groupby (no zero-schema
     # empty bundles at scale, no per-group UDF calls; the COMMITTED

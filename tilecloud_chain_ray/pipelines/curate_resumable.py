@@ -2,10 +2,10 @@
 flagship pipeline (pipelines/curate.curate_corpus).
 
 The one long job a 100-TB user must be able to kill and resume is the
-curation chain; this module wires the lineage pattern of
-pipelines/density_resumable.py around it (reference analog: the
-PostgreSQL job resume of ``store/postgresql.py:443-477`` — completed
-work is never redone, failed work re-runs, commits are atomic renames):
+curation chain; this module runs it on the shared checkpoint runner
+``sinks.lineage.run_partitions`` (reference analog: the PostgreSQL job
+resume of ``store/postgresql.py:443-477`` — completed work is never
+redone, failed work re-runs, commits are atomic renames):
 
 * **Phase 0 (opt-in ExactSubstr, committed once)**: with
   ``substring_k`` the corpus-global span table (stages/
@@ -15,24 +15,26 @@ work is never redone, failed work re-runs, commits are atomic renames):
   the corpus and every attempt cuts identically.
 
 * **Phase 1 (expensive, per input shard, checkpointed)**: each input
-  parquet shard runs the per-row leg of the chain — fused
-  analyze/filter, benchmark decontamination, deterministic hash
-  sample, content md5 + dedup-bucket assignment — and writes the
-  surviving projection as an atomically-renamed parquet part plus a
-  lineage record (input rows, surviving rows, status).  A resumed run
-  skips shards whose lineage says ``done``: raw text is read, scored
-  and hashed at most once per shard across any number of attempts.
+  parquet shard, identified by its path (``lineage.shard_id``), runs
+  the per-row leg of the chain — fused analyze/filter, benchmark
+  decontamination, deterministic hash sample, content md5 +
+  dedup-bucket assignment — and the runner commits the surviving
+  projection as a parquet part plus a lineage record (input rows,
+  surviving rows, status).  A resumed run skips shards whose lineage
+  says ``done``: raw text is read, scored and hashed at most once per
+  shard across any number of attempts.
   The kernels are the SAME module-level functions curate_corpus uses
   (make_analyze_filter / hash_sample_mask / contaminated_mask /
   make_md5_bucket), so streaming and checkpointed runs cannot diverge.
 
-* **Phase 2 (cheap, deterministic, recomputed on resume)**: read all
-  committed partials, run the salted-bucket exact-dedup shuffle
-  (min-key survivor — independent of which attempt committed which
-  shard), rewrite the group-partitioned corpus, optionally pack
-  shards.  Idempotent given phase-1 output; the corpus directory is
-  wiped before the rewrite so a crash inside phase 2 cannot leave
-  doubled partitions (output dirs are append-on-rewrite).
+* **Phase 2 (cheap, deterministic, recomputed on resume)**: read the
+  committed partials of the current shards, run the exact-dedup shuffle
+  on the committed ``_bucket`` tag (min-key survivor — independent of
+  which attempt committed which shard), rewrite the group-partitioned
+  corpus, optionally pack shards.  Idempotent given phase-1 output;
+  the corpus directory is wiped before the rewrite so a crash inside
+  phase 2 cannot leave doubled partitions (output dirs are
+  append-on-rewrite).
 
 The dedup shuffle itself is deliberately NOT checkpointed: phase-1
 output is a narrow projection (no raw html), and the shuffle is one
@@ -43,16 +45,16 @@ hours and is what phase 1 amortizes.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import shutil
+from functools import partial
 from typing import Sequence
 
 import pyarrow as pa
 import pyarrow.parquet as pq
-import ray
 
 from tilecloud_chain_ray.pipelines.curate import (
+    DEDUP_BUCKETS,
     CurateResult,
     make_analyze_filter,
     make_dedup_partition,
@@ -61,13 +63,6 @@ from tilecloud_chain_ray.pipelines.curate import (
 from tilecloud_chain_ray.sinks import lineage as lin
 from tilecloud_chain_ray.stages.curation import contaminated_mask, hash_sample_mask
 from tilecloud_chain_ray.util import hash_group_blocks, read_parquet_clean
-
-
-def _shard_id(path: str) -> int:
-    """Stable per-shard identity: 48 bits of the md5 of the absolute
-    path.  Lineage records and partial filenames key off this, so the
-    shard set can grow/shrink between runs without re-mapping ids."""
-    return int(hashlib.md5(os.path.abspath(path).encode()).hexdigest()[:12], 16)
 
 
 def _cut_with_committed_spans(
@@ -94,9 +89,6 @@ def _cut_with_committed_spans(
 
 
 def _phase1_shard(
-    shard_path: str,
-    partition_id: int,
-    partials_dir: str,
     key_col: str,
     text_col: str,
     group_col: str,
@@ -104,73 +96,23 @@ def _phase1_shard(
     rep_max: float | None,
     bench_shingles: frozenset[str] | None,
     sample_rates,
-    n_buckets: int,
-    job_id: str,
-    fail: bool,
-    spans_dir: str | None = None,
-) -> dict:
-    started = lin.now()
-    try:
-        table = pq.read_table(shard_path, columns=[key_col, group_col, text_col])
-        n_in = table.num_rows
-        if spans_dir is not None:
-            table = _cut_with_committed_spans(table, spans_dir, key_col, text_col)
-        t = make_analyze_filter(key_col, text_col, group_col, quality_min, rep_max)(table)
-        if bench_shingles is not None:
-            mask = contaminated_mask(t[text_col].to_pylist(), bench_shingles)
-            t = t.filter(pa.array(~mask))
-        if sample_rates is not None:
-            ids = t[key_col].to_numpy(zero_copy_only=False)
-            strat = t[group_col].to_pylist() if isinstance(sample_rates, dict) else None
-            t = t.filter(pa.array(hash_sample_mask(ids, strat, sample_rates)))
-        t = make_md5_bucket(text_col, n_buckets)(t)
-        if fail:
-            raise RuntimeError(f"injected failure in shard {partition_id}")
-        os.makedirs(partials_dir, exist_ok=True)
-        part_path = os.path.join(partials_dir, f"filtered_{partition_id:012x}.parquet")
-        tmp = part_path + ".tmp"
-        pq.write_table(t, tmp)
-        os.replace(tmp, part_path)  # commit the data BEFORE the lineage record
-        lin.write_record(
-            partials_dir,
-            lin.LineageRecord(
-                job_id=job_id,
-                partition_id=partition_id,
-                zooms=[],
-                input_rows=n_in,
-                tiles_generated=0,
-                tiles_dropped=0,
-                tiles_stored=0,
-                metatiles_generated=0,
-                metatiles_dropped=0,
-                status="done",
-                started_at=started,
-                finished_at=lin.now(),
-                error=None,
-                rows_out=t.num_rows,
-            ),
-        )
-        return {"partition_id": partition_id, "status": "done"}
-    except Exception as exc:
-        lin.write_record(
-            partials_dir,
-            lin.LineageRecord(
-                job_id=job_id,
-                partition_id=partition_id,
-                zooms=[],
-                input_rows=0,
-                tiles_generated=0,
-                tiles_dropped=0,
-                tiles_stored=0,
-                metatiles_generated=0,
-                metatiles_dropped=0,
-                status="error",
-                started_at=started,
-                finished_at=lin.now(),
-                error=str(exc),
-            ),
-        )
-        return {"partition_id": partition_id, "status": "error", "error": str(exc)}
+    spans_dir: str | None,
+    shard_path: str,
+) -> tuple[pa.Table, dict]:
+    table = pq.read_table(shard_path, columns=[key_col, group_col, text_col])
+    n_in = table.num_rows
+    if spans_dir is not None:
+        table = _cut_with_committed_spans(table, spans_dir, key_col, text_col)
+    t = make_analyze_filter(key_col, text_col, group_col, quality_min, rep_max)(table)
+    if bench_shingles is not None:
+        mask = contaminated_mask(t[text_col].to_pylist(), bench_shingles)
+        t = t.filter(pa.array(~mask))
+    if sample_rates is not None:
+        ids = t[key_col].to_numpy(zero_copy_only=False)
+        strat = t[group_col].to_pylist() if isinstance(sample_rates, dict) else None
+        t = t.filter(pa.array(hash_sample_mask(ids, strat, sample_rates)))
+    t = make_md5_bucket(text_col, DEDUP_BUCKETS)(t)
+    return t, {"input_rows": n_in, "rows_out": t.num_rows}
 
 
 def curate_resumable(
@@ -184,9 +126,6 @@ def curate_resumable(
     bench_shingles: frozenset[str] | None = None,
     sample_rates: dict[str, float] | float | None = None,
     shard_budget: int | None = None,
-    n_buckets: int = 256,  # dedup-bucket id is COMMITTED in resumable partials:
-    # a fixed per-job constant, never cluster-sized (mixed counts across resume
-    # attempts would split identical md5s into different buckets)
     shard_bucket_size: int = 1 << 20,
     job_id: str = "curate-1",
     fail_partitions: set[int] | None = None,
@@ -209,12 +148,7 @@ def curate_resumable(
         )
     else:
         shards = list(docs_dir)
-    # Resume identity is the shard PATH, not its position in the sorted
-    # list: adding/removing/renaming an input shard between runs must not
-    # shift which lineage record belongs to which shard (a positional id
-    # would skip never-processed shards and reprocess others under the
-    # wrong id).
-    sids = [_shard_id(s) for s in shards]
+    sids = [lin.shard_id(s) for s in shards]
     partials_dir = os.path.join(out_dir, "filtered")
 
     # Phase 0 (opt-in ExactSubstr): the span table is corpus-global and
@@ -258,58 +192,34 @@ def curate_resumable(
                 pq.write_table(empty, os.path.join(tmp, "empty.parquet"))
             os.replace(tmp, spans_dir)  # commit
 
-    done = lin.done_partitions(partials_dir)
-    todo = [
-        (pos, sid, s) for pos, (sid, s) in enumerate(zip(sids, shards)) if sid not in done
-    ]
-    fail = fail_partitions or set()  # positional, for fault-injection tests
-
-    if todo:
-        task = ray.remote(max_retries=0)(_phase1_shard)
-        bench_ref = ray.put(bench_shingles)  # stored once, shared by all tasks
-        ray.get(
-            [
-                task.remote(
-                    shard,
-                    sid,
-                    partials_dir,
-                    key_col,
-                    text_col,
-                    group_col,
-                    quality_min,
-                    rep_max,
-                    bench_ref,
-                    sample_rates,
-                    n_buckets,
-                    job_id,
-                    pos in fail,
-                    spans_dir,
-                )
-                for pos, sid, shard in todo
-            ]
-        )
-
-    summary = lin.summarize_lineage(partials_dir)
+    summary = lin.run_partitions(
+        partials_dir,
+        job_id,
+        [(sid, [], s) for sid, s in zip(sids, shards)],
+        partial(
+            _phase1_shard,
+            key_col,
+            text_col,
+            group_col,
+            quality_min,
+            rep_max,
+            bench_shingles,
+            sample_rates,
+            spans_dir,
+        ),
+        fail_partitions or (),
+    )
     recs = lin.load_records(partials_dir)
-    sid_set = set(sids)
-    # Roll up over the CURRENT shard list only — stale records from
-    # removed shards neither count nor block the run.
-    cur = [r for pid, r in recs.items() if pid in sid_set]
-    summary["partitions_total"] = len(shards)
-    summary["partitions_skipped"] = len(done & sid_set)
-    summary["partitions_done"] = sum(1 for r in cur if r.status == "done")
-    summary["partitions_error"] = sum(1 for r in cur if r.status == "error")
-    summary["rows_filtered"] = sum(r.rows_out or 0 for r in cur if r.status == "done")
+    summary["rows_filtered"] = sum(
+        recs[sid].rows_out or 0 for sid in sids if recs[sid].status == "done"
+    )
     if summary["partitions_error"]:
         return None, summary
 
-    # phase 2: dedup + partitioned corpus from the committed partials —
-    # restricted to partials belonging to the current shard list, so
-    # stale partials from removed shards cannot leak into the corpus.
-    part_files = [
-        os.path.join(partials_dir, f"filtered_{sid:012x}.parquet") for sid in sorted(sids)
-    ]
-    partials = read_parquet_clean(part_files)
+    # phase 2: dedup + partitioned corpus from the committed partials of
+    # the CURRENT shard list, so stale partials from removed shards
+    # cannot leak into the corpus.
+    partials = read_parquet_clean([lin.part_path(partials_dir, sid) for sid in sorted(sids)])
     # round 5: same task exchange as the non-resumable curate — the
     # COMMITTED _bucket tag is the partition key, so resume attempts
     # with different cluster widths still co-locate identical md5s

@@ -1,11 +1,11 @@
 """Page-density tile pyramid: the graft flagship (north rule).
 
-geocoded rows -> per-cell counts at the finest resolution (ONE shuffle,
-pre-aggregated inside map_batches so only (cell, partial_count) rows
-move) -> per-zoom rollups of the (small) count table -> data-driven
-tile rows (only tiles that contain data — a z-14 pyramid never
-enumerates its empty tiles) -> per-partition assembly + PNG render
-(stages/render.render_density_image) -> hash-drop -> sinks.
+geocoded rows -> per-zoom pixel partial counts (:func:`pixel_partials`,
+pre-aggregated inside map_batches so only (tile, pixel, count) rows
+move) -> ONE tile-keyed task exchange -> data-driven tile rows (only
+tiles that contain data — a z-14 pyramid never enumerates its empty
+tiles) -> PNG render (stages/render.render_density_image) -> hash-drop
+-> sinks (:func:`density_tiles`, shared with ``density_resumable``).
 
 Tile/pixel alignment: 256-px tiles on a 2^z matrix (WEBMERC) make a
 pixel at zoom z exactly a cell at res z+8, so per-pixel counts are
@@ -28,84 +28,66 @@ from tilecloud_chain_ray.stages.hashdrop import (
     finalize_tiles,
     make_hash_dropper,
 )
-from tilecloud_chain_ray.util import read_parquet_clean
+from tilecloud_chain_ray.util import hash_group_blocks, process_cached, read_parquet_clean
+
+PARTIALS_BATCH_SIZE = 65536  # geocoded rows per pixel_partials call
 
 
-def cell_counts(
-    ds: ray.data.Dataset, cell_col: str = "cell", count_col: str = "n"
-) -> ray.data.Dataset:
-    """Per-cell row counts with in-batch pre-aggregation (combiner)."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        cells = batch[cell_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-        uniq, counts = np.unique(cells, return_counts=True)
-        return pa.Table.from_pydict(
-            {
-                cell_col: pa.array(uniq.astype(np.int64), pa.int64()),
-                count_col: pa.array(counts.astype(np.int64), pa.int64()),
-            }
-        )
-
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    from tilecloud_chain_ray.util import exchange_aggregate
-
-    return exchange_aggregate(
-        partials, [cell_col], [(count_col, "sum")], [cell_col, count_col]
+def pixel_partials(cells: np.ndarray, zooms: Sequence[int]) -> pa.Table:
+    """Cell ids -> per-pixel partial counts for EVERY zoom in one
+    vectorized pass (np.unique combiner: only distinct pixels leave the
+    batch).  Rows are ``(tile, pix, n)``: the packed tile id (uint64
+    ``z<<44 | tx<<22 | ty`` — z<<60 would overflow int64 at high z), the
+    packed pixel id (uint16 ``pcol<<8 | prow``) and the count — 18
+    bytes a partial.  Zoom-major, each zoom's pixels in ascending
+    ``(px, py)`` order.  The map stage of :func:`density_pyramid` and
+    phase 1 of ``density_resumable`` both emit exactly this table."""
+    res, cx, cy = cell_decode(cells)
+    tiles, pixs, ns = [], [], []
+    for zoom in zooms:
+        pixel_res = zoom + 8
+        shift = res - pixel_res
+        if (shift < 0).any():
+            raise ValueError(
+                f"cell res {int(res.min())} coarser than pixel res {pixel_res} "
+                f"(need zoom <= cell_res - 8); requested zooms {tuple(zooms)}"
+            )
+        px = (cx >> shift).astype(np.uint64)
+        py = (cy >> shift).astype(np.uint64)
+        packed = (px << np.uint64(22)) | py  # fits: z+8 <= 22 bits
+        uniq, counts = np.unique(packed, return_counts=True)
+        upx = uniq >> np.uint64(22)
+        upy = uniq & np.uint64((1 << 22) - 1)
+        tx, ty = upx >> np.uint64(8), upy >> np.uint64(8)
+        tiles.append((np.uint64(zoom) << np.uint64(44)) | (tx << np.uint64(22)) | ty)
+        pcol, prow = upx & np.uint64(255), upy & np.uint64(255)
+        pixs.append(((pcol << np.uint64(8)) | prow).astype(np.uint16))
+        ns.append(counts.astype(np.int64))
+    return pa.table(
+        {
+            "tile": pa.array(np.concatenate(tiles), pa.uint64()),
+            "pix": pa.array(np.concatenate(pixs), pa.uint16()),
+            "n": pa.array(np.concatenate(ns)),
+        }
     )
-
-
-def pixel_rows_all_zooms(counts: ray.data.Dataset, zooms: Sequence[int]) -> ray.data.Dataset:
-    """Cell counts at res R -> (z, tx, ty, pcol, prow, n) for EVERY zoom
-    in one vectorized pass (the per-zoom rollup is bit-shift arithmetic,
-    so fanning out all zooms costs len(zooms) x rows of the *small*
-    count table and buys a single downstream shuffle)."""
-
-    def to_pixels(batch: pa.Table) -> pa.Table:
-        cells = batch["cell"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        n = batch["n"].to_numpy(zero_copy_only=False)
-        res, cx, cy = cell_decode(cells)
-        zs, txs, tys, pcols, prows, ns = [], [], [], [], [], []
-        for zoom in zooms:
-            pixel_res = zoom + 8
-            shift = (res - pixel_res).astype(np.int64)
-            if (shift < 0).any():
-                raise ValueError(f"cell res {res.min()} coarser than pixel res {pixel_res}")
-            px = (cx >> shift).astype(np.int64)
-            py = (cy >> shift).astype(np.int64)
-            zs.append(np.full(len(px), zoom, dtype=np.int32))
-            txs.append(px >> 8)
-            tys.append(py >> 8)
-            pcols.append(px & 255)
-            prows.append(py & 255)
-            ns.append(n)
-        return pa.Table.from_pydict(
-            {
-                "z": pa.array(np.concatenate(zs), pa.int32()),
-                "tx": pa.array(np.concatenate(txs), pa.int64()),
-                "ty": pa.array(np.concatenate(tys), pa.int64()),
-                "pcol": pa.array(np.concatenate(pcols), pa.int64()),
-                "prow": pa.array(np.concatenate(prows), pa.int64()),
-                "n": pa.array(np.concatenate(ns), pa.int64()),
-            }
-        )
-
-    return counts.map_batches(to_pixels, batch_format="pyarrow")
 
 
 # NOTE: a per-(z,tx,ty) grouping variant ("tiles_with_pixels") used to
 # live here; it was removed because a sort-based tile-key groupby is one
 # Ray group per tile — the shape the round-1 ledger measured at 334 s.
 # The only assembly path is the tile-keyed task exchange inside
-# assemble_and_render_tiles below (one task per partition, not per tile).
+# density_tiles below (one task per partition, not per tile).
 
 
-def assemble_and_render_tiles(
+def density_tiles(
     partials: ray.data.Dataset,
     layer: Layer,
     n_buckets: int | None = None,
-    png_level: int = 3,
+    out_wmts: str | None = None,
 ) -> ray.data.Dataset:
-    """Pixel partial rows -> rendered tile rows.
+    """Pixel partials (:func:`pixel_partials` rows) -> finalized tile
+    rows: assemble, render + PNG, hash-drop, finalize, and with
+    ``out_wmts`` the WMTS write.  The tail of both density pyramids.
 
     The partials move through one task exchange keyed on the packed
     tile id (util.hash_group_blocks; ``n_buckets`` is the requested
@@ -114,30 +96,20 @@ def assemble_and_render_tiles(
     tiles — never one Ray group per tile, which Ray's sort groupby
     packed into a handful of blocks (observed: effective parallelism
     ~1) — and the exchange can widen as far as its input's bytes ask.
+    The encode stage downstream sees one block per non-empty partition,
+    so its parallelism follows the exchange width.
+
+    PNG level: user-pinned empty_tile_detection hashes (jobs/tcr.py
+    get-hash) are computed at the level-6 encoding, and encoding at any
+    other level would silently disable empty-tile dropping — so a layer
+    with a pinned ``empty_tile`` encodes at 6, any other at 3.
     """
     from tilecloud_chain_ray.functions.png import encode_png
     from tilecloud_chain_ray.stages.render import layer_color, render_density_image
 
+    png_level = 6 if layer.empty_tile is not None else 3
     ts = layer.grid.tile_size
     color = layer_color(layer.name)
-
-    def pack(batch: pa.Table) -> pa.Table:
-        # packed tile id (uint64: z<<44 | tx<<22 | ty — z<<60 would
-        # overflow int64 at high z) + packed pixel id (pcol<<8 | prow):
-        # 18 bytes a partial instead of six int64 columns
-        z, tx, ty, pcol, prow = (
-            batch[c].to_numpy(zero_copy_only=False).astype(np.uint64)
-            for c in ("z", "tx", "ty", "pcol", "prow")
-        )
-        tile = (z << np.uint64(44)) | (tx << np.uint64(22)) | ty
-        pix = (pcol << np.uint64(8)) | prow
-        return pa.table(
-            {
-                "tile": pa.array(tile, pa.uint64()),
-                "pix": pa.array(pix.astype(np.uint16), pa.uint16()),
-                "n": pa.array(batch["n"].to_numpy(zero_copy_only=False).astype(np.int64)),
-            }
-        )
 
     def assemble_partition(t: pa.Table) -> pa.Table:
         """Sum duplicate pixels and emit ONE ROW PER TILE carrying its
@@ -216,21 +188,26 @@ def assemble_and_render_tiles(
             }
         )
 
-    from tilecloud_chain_ray.util import hash_group_blocks
-
-    # task exchange with one merge per partition: the encode stage
-    # downstream sees one block per non-empty partition, so its
-    # parallelism follows the exchange width — about one block per
-    # core (no repartition needed — the old sort path packed its
-    # output into ~4 blocks and ran the render leg flat at 8 vs 32
-    # cpus until re-split)
     assembled = hash_group_blocks(
-        partials.map_batches(pack, batch_format="pyarrow"),
-        ["tile"],
-        assemble_partition,
-        num_partitions=n_buckets,
+        partials, ["tile"], assemble_partition, num_partitions=n_buckets
     )
-    return assembled.map_batches(render_tiles, batch_format="pyarrow")
+    _, empty_tile = empty_signatures(layer, png_level=png_level)
+    tiles = assembled.map_batches(render_tiles, batch_format="pyarrow")
+    tiles = tiles.map_batches(
+        make_hash_dropper(layer.empty_tile or empty_tile, "dropped"),
+        batch_format="pyarrow",
+    )
+    tiles = tiles.map_batches(finalize_tiles, batch_format="pyarrow")
+    if out_wmts is not None:
+
+        def write_fn(batch: pa.Table) -> pa.Table:
+            writer = process_cached(
+                ("wmts_writer", layer.name, out_wmts), lambda: WmtsWriter(layer, out_wmts)
+            )
+            return writer(batch)
+
+        tiles = tiles.map_batches(write_fn, batch_format="pyarrow")
+    return tiles
 
 
 def density_pyramid(
@@ -240,17 +217,14 @@ def density_pyramid(
     cell_col: str = "cell",
     out_wmts: str | None = None,
     out_parquet: str | None = None,
-    concurrency: int | tuple[int, int] = (1, 4),
     with_summary: bool = True,
     n_buckets: int | None = None,
-    png_level: int = 3,
-    partials_batch_size: int = 65536,
 ):
     """Full density pyramid for the given zooms (finest first not
     required).  Returns (tiles_dataset, summary_dict).
 
     ``n_buckets`` is the requested width of the assembly exchange (see
-    assemble_and_render_tiles); the default is one partition per
+    :func:`density_tiles`); the default is one partition per
     cluster core (:func:`~tilecloud_chain_ray.util.default_buckets`),
     raised when the partials' bytes call for it.  More partitions buy
     render parallelism on big tile universes, fewer cut the per-task
@@ -260,73 +234,18 @@ def density_pyramid(
 
     assert not layer.meta, "density tiles are rendered per-tile (meta=False)"
 
-    if layer.empty_tile is not None and png_level != 6:
-        # User-pinned empty_tile_detection hashes (jobs/tcr.py get-hash)
-        # are computed at the level-6 encoding; encoding the pyramid at
-        # a different level would silently disable empty-tile dropping.
-        png_level = 6
-
     # ONE pass over the raw rows: per-batch partial pixel counts for
-    # every zoom at once (np.unique combiner — only (z, tile, pixel,
-    # n) partials cross the wire), then ONE task exchange whose merge
-    # kernel sums duplicate pixels and the encode stage renders the
-    # PNGs — no intermediate cell-count shuffle, no second group pass.
-    def pixel_partials(batch: pa.Table) -> pa.Table:
-        cells = batch[cell_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-        res, cx, cy = cell_decode(cells)
-        zs, txs, tys, pcols, prows, ns = [], [], [], [], [], []
-        for zoom in zooms:
-            pixel_res = zoom + 8
-            shift = (res - pixel_res).astype(np.int64)
-            if (shift < 0).any():
-                raise ValueError(f"cell res coarser than pixel res {pixel_res}")
-            px = (cx >> shift).astype(np.uint64)
-            py = (cy >> shift).astype(np.uint64)
-            packed = (px << np.uint64(22)) | py  # fits: z+8 <= 22 bits
-            uniq, counts_ = np.unique(packed, return_counts=True)
-            upx = (uniq >> np.uint64(22)).astype(np.int64)
-            upy = (uniq & np.uint64((1 << 22) - 1)).astype(np.int64)
-            zs.append(np.full(len(uniq), zoom, dtype=np.int32))
-            txs.append(upx >> 8)
-            tys.append(upy >> 8)
-            pcols.append(upx & 255)
-            prows.append(upy & 255)
-            ns.append(counts_.astype(np.int64))
-        return pa.Table.from_pydict(
-            {
-                "z": pa.array(np.concatenate(zs), pa.int32()),
-                "tx": pa.array(np.concatenate(txs), pa.int64()),
-                "ty": pa.array(np.concatenate(tys), pa.int64()),
-                "pcol": pa.array(np.concatenate(pcols), pa.int64()),
-                "prow": pa.array(np.concatenate(prows), pa.int64()),
-                "n": pa.array(np.concatenate(ns), pa.int64()),
-            }
-        )
+    # every zoom at once (only (tile, pixel, n) partials cross the
+    # wire), then ONE task exchange whose merge kernel sums duplicate
+    # pixels and the encode stage renders the PNGs — no intermediate
+    # cell-count shuffle, no second group pass.
+    def partials_of(batch: pa.Table) -> pa.Table:
+        return pixel_partials(batch[cell_col].to_numpy(zero_copy_only=False), zooms)
 
     partials = geocoded.map_batches(
-        pixel_partials, batch_format="pyarrow", batch_size=partials_batch_size
+        partials_of, batch_format="pyarrow", batch_size=PARTIALS_BATCH_SIZE
     )
-
-    _, empty_tile = empty_signatures(layer, png_level=png_level)
-    rendered = assemble_and_render_tiles(
-        partials, layer, n_buckets=n_buckets, png_level=png_level
-    )
-    tiles = rendered.map_batches(
-        make_hash_dropper(layer.empty_tile or empty_tile, "dropped"),
-        batch_format="pyarrow",
-    )
-    tiles = tiles.map_batches(finalize_tiles, batch_format="pyarrow")
-    if out_wmts is not None:
-
-        def write_fn(batch: pa.Table) -> pa.Table:
-            from tilecloud_chain_ray.util import process_cached
-
-            writer = process_cached(
-                ("wmts_writer", layer.name, out_wmts), lambda: WmtsWriter(layer, out_wmts)
-            )
-            return writer(batch)
-
-        tiles = tiles.map_batches(write_fn, batch_format="pyarrow")
+    tiles = density_tiles(partials, layer, n_buckets=n_buckets, out_wmts=out_wmts)
     if out_parquet is not None:
         tiles.write_parquet(out_parquet, partition_cols=["z"])
         tiles = read_parquet_clean(out_parquet)

@@ -1,37 +1,48 @@
-"""Per-partition lineage records: the checkpoint/resume substrate.
+"""Per-partition lineage records and the one checkpoint runner.
 
 Replaces the reference's PostgreSQL job/queue state machine
 (``/root/reference/tilecloud_chain/store/postgresql.py:73-89,143-194``,
 retry semantics ``:443-477``): work is split into deterministic
-partitions (coordinate-interval ranges); a partition's output parquet
-is written to a temp name and atomically renamed, THEN its lineage
-record is written (atomic rename too).  A resumed run skips partitions
-with lineage records — "completed work is never redone", failed work
-re-runs, and the at-least-once write is idempotent (same deterministic
-output path per partition).
+partitions (coordinate-interval ranges, input shards);
+:func:`run_partitions` writes a partition's output parquet to a temp
+name and atomically renames it, THEN writes its lineage record (atomic
+rename too).  A resumed run skips partitions whose record is ``done`` —
+"completed work is never redone", failed work re-runs, and the
+at-least-once write is idempotent (same deterministic output path per
+partition).  The three resumable pipelines (``pipelines/resumable``,
+``density_resumable``, ``curate_resumable``) each supply only their
+per-partition work.
 
 Lineage schema follows FIXTURES.md §6.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import time
 from dataclasses import asdict, dataclass
+from typing import Any, Callable, Collection, Sequence
+
+import pyarrow as pa
+import pyarrow.parquet as pq
+import ray
 
 
-@dataclass
+# keyword-only so the counters can default to 0 without reordering the
+# fields: the on-disk JSON keeps its key order
+@dataclass(kw_only=True)
 class LineageRecord:
     job_id: str
     partition_id: int
     zooms: list[int]
-    input_rows: int
-    tiles_generated: int
-    tiles_dropped: int
-    tiles_stored: int
-    metatiles_generated: int
-    metatiles_dropped: int
+    input_rows: int = 0
+    tiles_generated: int = 0
+    tiles_dropped: int = 0
+    tiles_stored: int = 0
+    metatiles_generated: int = 0
+    metatiles_dropped: int = 0
     status: str  # done | error
     started_at: float
     finished_at: float
@@ -77,7 +88,10 @@ def done_partitions(out_dir: str) -> set[int]:
 
 
 def summarize_lineage(out_dir: str) -> dict[str, int | float]:
-    recs = load_records(out_dir).values()
+    return _summarize(load_records(out_dir).values())
+
+
+def _summarize(recs: Collection[LineageRecord]) -> dict[str, int | float]:
     done = [r for r in recs if r.status == "done"]
     return {
         "partitions_done": len(done),
@@ -93,6 +107,94 @@ def summarize_lineage(out_dir: str) -> dict[str, int | float]:
 
 def now() -> float:
     return time.time()
+
+
+def part_path(out_dir: str, partition_id: int) -> str:
+    """Committed output parquet of one partition."""
+    return os.path.join(out_dir, f"part_{partition_id:012x}.parquet")
+
+
+def shard_id(path: str) -> int:
+    """Stable per-shard identity: 48 bits of the md5 of the absolute
+    path.  Lineage records and part files key off this, so the shard
+    set can grow/shrink between runs without re-mapping ids (a position
+    in the sorted list would shift when a shard is added or removed)."""
+    return int(hashlib.md5(os.path.abspath(path).encode()).hexdigest()[:12], 16)
+
+
+def _run_partition(
+    out_dir: str,
+    job_id: str,
+    partition_id: int,
+    zooms: list[int],
+    arg: Any,
+    work: Callable,
+    fail: bool,
+) -> None:
+    started = now()
+    try:
+        table, fields = work(arg)
+        if fail:
+            raise RuntimeError(f"injected failure in partition {partition_id}")
+        path = part_path(out_dir, partition_id)
+        pq.write_table(table, path + ".tmp")
+        os.replace(path + ".tmp", path)  # commit the data BEFORE the lineage record
+        fields = {"status": "done", **fields}
+    except Exception as exc:  # record the error, like the queue's error rows
+        fields = {"status": "error", "error": str(exc)}
+    write_record(
+        out_dir,
+        LineageRecord(
+            job_id=job_id,
+            partition_id=partition_id,
+            zooms=zooms,
+            started_at=started,
+            finished_at=now(),
+            **fields,
+        ),
+    )
+
+
+def run_partitions(
+    out_dir: str,
+    job_id: str,
+    parts: Sequence[tuple[int, list[int], Any]],
+    work: Callable[[Any], tuple[pa.Table, dict[str, Any]]],
+    fail: Collection[int] = (),
+) -> dict[str, int | float]:
+    """Run (or resume) one checkpointed job.
+
+    ``parts`` lists ``(partition_id, zooms, arg)``.  Every part whose
+    lineage record is not ``done`` runs ``work(arg) -> (table, fields)``
+    as one Ray task (no retries: a failure becomes an ``error`` record
+    and the next run re-runs it); ``table`` is committed to
+    :func:`part_path`, then the ``done`` record carrying ``fields``
+    (``LineageRecord`` counters) is written.  ``fail`` holds positions
+    in ``parts`` whose task raises after ``work`` and before the commit
+    (fault injection for tests).
+
+    Returns the lineage summary over the given ids only — records of
+    partitions no longer listed neither count nor block — plus
+    ``partitions_total`` and ``partitions_skipped``."""
+    done = done_partitions(out_dir)
+    todo = [(pos, p) for pos, p in enumerate(parts) if p[0] not in done]
+    if todo:
+        os.makedirs(out_dir, exist_ok=True)
+        task = ray.remote(max_retries=0)(_run_partition)
+        work_ref = ray.put(work)  # stored once, shared by every task
+        ray.get(
+            [
+                task.remote(out_dir, job_id, pid, zooms, arg, work_ref, pos in fail)
+                for pos, (pid, zooms, arg) in todo
+            ]
+        )
+    ids = {pid for pid, _, _ in parts}
+    current = [r for pid, r in load_records(out_dir).items() if pid in ids]
+    return {
+        **_summarize(current),
+        "partitions_total": len(parts),
+        "partitions_skipped": len(done & ids),
+    }
 
 
 def status_rollup(out_dir: str, top_errors: int = 5) -> dict:

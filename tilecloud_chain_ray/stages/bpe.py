@@ -19,6 +19,7 @@ of tokens; encoded words cache per worker process across batches)."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import re
 from collections import Counter
 
@@ -124,6 +125,21 @@ def _merge_word_freqs(
     return merges
 
 
+def _text_key(text_col: str, key_col: str):
+    """Batch kernel appending an int64 key derived from the text (62
+    bits of its md5): a sampling key for corpora without one, so equal
+    texts share a key and the sample does not depend on row order."""
+
+    def add_key(batch: pa.Table) -> pa.Table:
+        keys = [
+            int.from_bytes(hashlib.md5((t or "").encode()).digest()[:8], "little") >> 2
+            for t in batch[text_col].to_pylist()
+        ]
+        return batch.append_column(key_col, pa.array(keys, pa.int64()))
+
+    return add_key
+
+
 def train_bpe(
     ds: "ray.data.Dataset | list[str]",
     num_merges: int = 256,
@@ -133,22 +149,21 @@ def train_bpe(
 ) -> BPETokenizer:
     """Train on a bounded driver-side sample (standard subword
     practice: the merge table converges on a sample long before corpus
-    scale).  When ``key_col`` is present the sample is the
-    layout-independent bottom-n-by-hash set (``hash_sample_rows``) —
-    ``limit()`` would train the vocabulary on the FIRST input files
-    only, which on a source-sorted corpus skews the merges; without a
-    key column it falls back to the first rows."""
+    scale).  The sample is the layout-independent bottom-n-by-hash set
+    (``hash_sample_rows``) of ``key_col`` — ``limit()`` would train the
+    vocabulary on the FIRST input files only, which on a source-sorted
+    corpus skews the merges.  Without a ``key_col`` column the key is
+    derived from the text itself (:func:`_text_key`)."""
     if isinstance(ds, list):
         texts = ds
-    elif key_col in ds.schema().names:
+    else:
         from tilecloud_chain_ray.stages.curation import hash_sample_rows
 
+        if key_col not in ds.schema().names:
+            key_col = "__text_key"
+            ds = ds.map_batches(_text_key(text_col, key_col), batch_format="pyarrow")
         tbl = hash_sample_rows(ds, sample_max_docs, key_col, cols=[text_col])
         texts = [t for t in tbl[text_col].to_pylist() if t]
-    else:
-        texts = [
-            r[text_col] for r in ds.limit(sample_max_docs).take_all() if r[text_col]
-        ]
     word_freqs = Counter()
     for t in texts:
         word_freqs.update(_PRETOK_RE.findall(t))

@@ -30,6 +30,8 @@ def _merge_topk(partials: ray.data.Dataset, key_col: str, k: int) -> ray.data.Da
     replaces."""
 
     def merge(batch: pa.Table) -> pa.Table:
+        if "query_id" not in batch.column_names:
+            return batch  # zero-column probe of an input with no blocks
         df = batch.to_pandas()
         df = df.sort_values(
             ["query_id", "score", key_col], ascending=[True, False, True]
@@ -521,6 +523,8 @@ def knn_cell(
         once per distinct cell, dist computed columnar, lexsort +
         groupby-head) — identical semantics to the per-group pandas
         merge it replaces."""
+        if "query_cell" not in batch.column_names:
+            return batch  # zero-column probe of an input with no blocks
         df = batch.to_pandas()
         centers = ray.get(centers_ref)
         qc = df["query_cell"].to_numpy()
