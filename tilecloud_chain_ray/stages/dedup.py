@@ -6,6 +6,14 @@ vectorized inside ``map_batches``; the only shuffles are hash /
 band-bucket task exchanges (util.hash_group_blocks) over *small
 derived columns* (never the payload); candidate verification is
 per-bucket local work inside the exchange kernels.
+
+MinHash runs on whole batches, never one document at a time:
+``shingle_table`` turns a batch of texts into one flat array of word
+k-gram hashes plus per-document offsets (the flat-plus-offsets layout
+of an Arrow ``list`` column), ``MinHasher.signatures`` signs it with one
+pass per permutation, and Jaccard verification intersects the sorted
+shingle sets of all candidate pairs in one lexsort.  SimHash still
+walks its documents one by one; batching it measured slower (ROADMAP).
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ import zlib
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 
 from tilecloud_chain_ray.util import default_buckets, vecs_from_arrow
@@ -77,38 +86,154 @@ _SHINGLE_MULTS = (
 )
 
 
-_WORD_CRC_CACHE: dict[str, int] = {}
+# per-permutation temporary of MinHasher.signatures: at most 32 MiB of
+# uint64 per pass, whatever the batch's shingle count
+_SIG_CHUNK = (32 << 20) // 8
 
 
-def _word_crc(word: str) -> int:
-    h = _WORD_CRC_CACHE.get(word)
-    if h is None:
-        if len(_WORD_CRC_CACHE) > 1_000_000:
-            _WORD_CRC_CACHE.clear()  # bound worker memory on huge vocabularies
-        h = zlib.crc32(word.encode())
-        _WORD_CRC_CACHE[word] = h
-    return h
+def _text_array(batch: pa.Table, text_col: str) -> pa.ChunkedArray:
+    """The text column, refused when it holds a null: a null page has
+    no shingles, and a silent cast would invent some."""
+    col = batch[text_col]
+    if col.null_count:
+        raise ValueError(
+            f"column {text_col!r} has {col.null_count} null value(s); "
+            "near-duplicate detection needs a text in every row"
+        )
+    return col
 
 
-def _shingle_hashes(text: str, k: int = 3) -> np.ndarray:
-    """Word k-gram shingle hashes: per-word crc32 (cached — natural
-    text repeats words heavily) combined by position-salted
-    multiply-xor (vectorized) — one crc per DISTINCT word, not per
-    shingle."""
-    words = text.split()
-    if len(words) < k:
-        return np.array([zlib.crc32(" ".join(words).encode())], dtype=np.uint64)
-    w = np.array([_word_crc(wd) for wd in words], dtype=np.uint64)
+def shingle_table(texts: pa.Array, k: int = 3) -> tuple[np.ndarray, np.ndarray]:
+    """Word k-gram shingle hashes of a whole batch of texts, flat.
+
+    Returns ``(offsets, hashes)``: document ``i``'s shingles are
+    ``hashes[offsets[i]:offsets[i + 1]]``, in word order.  Words are
+    ``str.split()`` words (Arrow's whitespace is Python's: bidi WS/B/S
+    or category Zs; the trim matters, untrimmed ``" a "`` splits into
+    ``['', 'a', '']``).  Each DISTINCT word of the batch is crc32'd once
+    via ``dictionary_encode``; shingle ``p`` is the position-salted
+    multiply-xor of the crcs of words ``p..p+k-1``, computed over the
+    flat word array and kept where the whole k-gram lies inside one
+    document.  A document with fewer than ``k`` words has the single
+    shingle ``crc32(" ".join(words))``, so every document has one.
+    """
+    if isinstance(texts, pa.ChunkedArray):
+        texts = texts.combine_chunks()
+    if texts.null_count:
+        raise ValueError(f"shingle_table: {texts.null_count} null text(s)")
+    trimmed = pc.utf8_trim_whitespace(texts)
+    # an all-whitespace text would split into one '' word: make it null
+    # so it has no words at all, as in str.split()
+    trimmed = pc.if_else(pc.greater(pc.binary_length(trimmed), 0), trimmed, None)
+    words = pc.utf8_split_whitespace(trimmed)
+    n_words = pc.list_value_length(words).fill_null(0).to_numpy().astype(np.int64)
+    flat = pc.list_flatten(words).dictionary_encode()
+    crcs = np.fromiter(
+        (zlib.crc32(w) for w in flat.dictionary.cast(pa.large_binary()).to_pylist()),
+        dtype=np.uint64,
+        count=len(flat.dictionary),
+    )
+    w = crcs[flat.indices.to_numpy()]
+    counts = np.maximum(n_words - k + 1, 1)
+    offsets = np.zeros(len(n_words) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    hashes = np.empty(int(offsets[-1]), dtype=np.uint64)
+
+    long_doc = n_words >= k
     n = len(w) - k + 1
-    with np.errstate(over="ignore"):
-        h = w[:n] * _SHINGLE_MULTS[0]
-        for j in range(1, k):
-            h = h ^ (w[j : j + n] * _SHINGLE_MULTS[min(j, 2)])
-    return h
+    if n > 0 and long_doc.any():
+        with np.errstate(over="ignore"):
+            h = w[:n] * _SHINGLE_MULTS[0]
+            for j in range(1, k):
+                h ^= w[j : j + n] * _SHINGLE_MULTS[min(j, 2)]
+        # start p is kept iff its k-gram ends inside p's document
+        doc_end = np.repeat(np.cumsum(n_words), n_words)
+        inside = (doc_end - np.arange(len(w)) >= k)[:n]
+        hashes[np.repeat(long_doc, counts)] = h[inside]
+    short = np.flatnonzero(~long_doc)
+    if len(short):
+        sep = pa.scalar(" ", texts.type)
+        joined = pc.binary_join(words.take(pa.array(short)), sep).cast(pa.large_binary())
+        hashes[offsets[short]] = [zlib.crc32(t or b"") for t in joined.to_pylist()]
+    return offsets, hashes
+
+
+def _unique_shingles(offsets: np.ndarray, hashes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each document's shingles as a sorted set: one lexsort over the
+    whole flat table instead of one ``np.unique`` per document."""
+    n = len(offsets) - 1
+    doc = np.repeat(np.arange(n), np.diff(offsets))
+    order = np.lexsort((hashes, doc))
+    doc, hashes = doc[order], hashes[order]
+    keep = np.ones(len(doc), dtype=bool)
+    keep[1:] = (doc[1:] != doc[:-1]) | (hashes[1:] != hashes[:-1])
+    out = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(doc[keep], minlength=n), out=out[1:])
+    return out, hashes[keep]
+
+
+def _intersection_counts(pid: np.ndarray, values: np.ndarray, n_pairs: int) -> np.ndarray:
+    """|A & B| of every pair at once.  ``values`` holds both sides of
+    every pair, tagged with the pair ordinal ``pid``; each side is a
+    set, so a (pair, value) seen twice is one value of each side."""
+    order = np.lexsort((values, pid))
+    pv, vv = pid[order], values[order]
+    dup = (pv[1:] == pv[:-1]) & (vv[1:] == vv[:-1])
+    return np.bincount(pv[1:][dup], minlength=n_pairs).astype(np.int64)
+
+
+def _shingle_index(tbl: pa.Table, key_col: str, text_col: str, k: int = 3):
+    """(sorted keys, row of each key, set offsets, set values): the
+    shingle set of every row of ``tbl``, looked up by key.  A repeated
+    key keeps its last row, as a key -> row dict would."""
+    keys = tbl[key_col].to_numpy(zero_copy_only=False)
+    offsets, values = _unique_shingles(*shingle_table(_text_array(tbl, text_col), k))
+    ukeys, first = np.unique(keys[::-1], return_index=True)
+    return ukeys, len(keys) - 1 - first, offsets, values
+
+
+def _needed_shingle_index(ds: ray.data.Dataset, key_col: str, text_col: str, keys, k: int = 3):
+    """``_shingle_index`` of the rows of ``ds`` whose key is in
+    ``keys``, pulled to the driver as Arrow batches."""
+    value_set = pa.array(np.unique(keys))
+    needed = ds.map_batches(
+        lambda b: b.filter(pc.is_in(b[key_col], value_set=value_set)).select([key_col, text_col]),
+        batch_format="pyarrow",
+    )
+    tables = [t for t in needed.iter_batches(batch_format="pyarrow") if t.num_rows]
+    if not tables:
+        tables = [
+            pa.table({key_col: pa.array([], pa.int64()), text_col: pa.array([], pa.string())})
+        ]
+    return _shingle_index(pa.concat_tables(tables), key_col, text_col, k)
+
+
+def _pair_jaccard(index, key_a: np.ndarray, key_b: np.ndarray) -> np.ndarray:
+    """Exact shingle-set Jaccard of every (key_a[i], key_b[i]) pair
+    against a ``_shingle_index``, in one sorted pass over the pairs'
+    concatenated sets.  A key missing from the index has the empty set;
+    two empty sets have Jaccard 0."""
+    ukeys, rows, offsets, values = index
+    n_pairs = len(key_a)
+    q = np.concatenate([key_a, key_b])
+    pos = np.minimum(np.searchsorted(ukeys, q), max(len(ukeys) - 1, 0))
+    found = (ukeys[pos] == q) if len(ukeys) else np.zeros(len(q), dtype=bool)
+    doc = rows[pos[found]]
+    lens = np.zeros(len(q), dtype=np.int64)
+    lens[found] = offsets[doc + 1] - offsets[doc]
+    starts = np.zeros(len(q), dtype=np.int64)
+    starts[found] = offsets[doc]
+    total = int(lens.sum())
+    # ragged gather: the set of every pair side, back to back
+    gather = np.repeat(starts - (np.cumsum(lens) - lens), lens) + np.arange(total)
+    pid = np.repeat(np.tile(np.arange(n_pairs), 2), lens)
+    inter = _intersection_counts(pid, values[gather], n_pairs)
+    union = lens[:n_pairs] + lens[n_pairs:] - inter
+    return np.where(union > 0, inter / np.maximum(union, 1), 0.0)
 
 
 class MinHasher:
-    """num_perm seeded universal-hash permutations; vectorized per doc."""
+    """num_perm seeded universal-hash permutations over shingle hashes."""
 
     def __init__(self, num_perm: int = 64, seed: int = 7, shingle_k: int = 3) -> None:
         rng = np.random.default_rng(seed)
@@ -117,17 +242,41 @@ class MinHasher:
         self.num_perm = num_perm
         self.shingle_k = shingle_k
 
-    def signature(self, text: str) -> np.ndarray:
-        sh = _shingle_hashes(text, self.shingle_k)
-        # (num_perm, n_shingles) multiply-shift hash (mod 2^64 wraparound
-        # with odd multipliers — standard, fast, fully vectorized)
-        with np.errstate(over="ignore"):
-            v = self.a[:, None] * sh[None, :] + self.b[:, None]
-        return np.min(v, axis=1)
+    def signatures(self, offsets: np.ndarray, hashes: np.ndarray) -> np.ndarray:
+        """(n_docs, num_perm) MinHash signatures of a ``shingle_table``.
+
+        One pass per permutation over every shingle of the batch
+        (multiply-shift ``a*h + b`` mod 2^64, odd ``a``), then
+        ``np.minimum.reduceat`` at the document offsets.  Passes cover at
+        most ``_SIG_CHUNK`` shingles; a document cut by a chunk edge
+        takes the min of its pieces.  Every document must have at least
+        one shingle (``shingle_table`` guarantees it).
+        """
+        n = len(offsets) - 1
+        out = np.full((self.num_perm, n), np.iinfo(np.uint64).max, dtype=np.uint64)
+        for s in range(0, len(hashes), _SIG_CHUNK):
+            e = min(s + _SIG_CHUNK, len(hashes))
+            d0 = int(np.searchsorted(offsets, s, side="right")) - 1
+            d1 = int(np.searchsorted(offsets, e, side="left"))
+            seg = np.maximum(offsets[d0:d1], s) - s
+            chunk = hashes[s:e]
+            v = np.empty_like(chunk)
+            with np.errstate(over="ignore"):
+                for p in range(self.num_perm):
+                    np.multiply(chunk, self.a[p], out=v)
+                    v += self.b[p]
+                    row = out[p, d0:d1]
+                    np.minimum(row, np.minimum.reduceat(v, seg), out=row)
+        return np.ascontiguousarray(out.T)
 
 
 class MinHashStage:
-    """Actor: emits (key, band, band_hash) rows — one per LSH band."""
+    """Emits (key, band, band_hash) rows, one per LSH band per document.
+
+    The whole batch is shingled by one ``shingle_table`` call and signed
+    by one ``MinHasher.signatures`` call: no per-document Python.  A
+    null text raises ``ValueError``.
+    """
 
     def __init__(self, key_col="doc_id", text_col="text", num_perm=64, bands=16, seed=7):
         assert num_perm % bands == 0
@@ -138,12 +287,10 @@ class MinHashStage:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         keys = batch[self.key_col].to_numpy(zero_copy_only=False)
-        texts = batch[self.text_col].to_pylist()
-        n = len(texts)
+        texts = _text_array(batch, self.text_col)
+        sigs = self.mh.signatures(*shingle_table(texts, self.mh.shingle_k))
+        n = len(sigs)
         r = self.rows_per_band
-        sigs = np.empty((n, self.mh.num_perm), dtype=np.uint64)
-        for i, text in enumerate(texts):
-            sigs[i] = self.mh.signature(text)
         # band hash: multiply-xor fold of each band's rows — fully
         # vectorized over (docs x bands), no per-band Python
         chunks = sigs.reshape(n, self.bands, r)
@@ -380,29 +527,16 @@ def minhash_dedup_pairs(
             )
         if not pairs:
             return _empty_pairs()
-        keys_needed = sorted({k for p in pairs for k in p})
-        needed = ds.map_batches(
-            lambda b: b.filter(
-                pa.compute.is_in(b[key_col], value_set=pa.array(keys_needed))
-            ).select([key_col, text_col]),
-            batch_format="pyarrow",
-        ).take_all()
-        shingles = {r[key_col]: set(_shingle_hashes(r[text_col]).tolist()) for r in needed}
-        out_a, out_b, out_j = [], [], []
-        for a, b in sorted(pairs):
-            sa, sb = shingles.get(a, set()), shingles.get(b, set())
-            union = len(sa | sb)
-            j = len(sa & sb) / union if union else 0.0
-            if j >= threshold:
-                out_a.append(a)
-                out_b.append(b)
-                out_j.append(j)
+        cand = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+        index = _needed_shingle_index(ds, key_col, text_col, cand)
+        jac = _pair_jaccard(index, cand[:, 0], cand[:, 1])
+        keep = jac >= threshold
         return ray.data.from_arrow(
             pa.Table.from_pydict(
                 {
-                    "key_a": pa.array(out_a, pa.int64()),
-                    "key_b": pa.array(out_b, pa.int64()),
-                    "jaccard": pa.array(out_j, pa.float64()),
+                    "key_a": pa.array(cand[keep, 0], pa.int64()),
+                    "key_b": pa.array(cand[keep, 1], pa.int64()),
+                    "jaccard": pa.array(jac[keep], pa.float64()),
                 }
             )
         )
@@ -434,16 +568,13 @@ def shingle_sig_table(
     verification (the payload text never enters the shuffle)."""
 
     def fn(batch: pa.Table) -> pa.Table:
-        keys = batch[key_col]
-        texts = batch[text_col].to_pylist()
-        sigs = [np.unique(_shingle_hashes(t, shingle_k)) for t in texts]
-        offsets = np.zeros(len(sigs) + 1, dtype=np.int64)
-        np.cumsum([len(s) for s in sigs], out=offsets[1:])
-        values = np.concatenate(sigs) if sigs else np.array([], np.uint64)
+        offsets, values = _unique_shingles(
+            *shingle_table(_text_array(batch, text_col), shingle_k)
+        )
         sig_col = pa.ListArray.from_arrays(
             pa.array(offsets, pa.int32()), pa.array(values, pa.uint64())
         )
-        return pa.Table.from_pydict({"key": keys, "sig": sig_col})
+        return pa.Table.from_pydict({"key": batch[key_col], "sig": sig_col})
 
     return ds.map_batches(fn, batch_format="pyarrow")
 
@@ -567,16 +698,11 @@ def _verify_pairs_distributed(
         sb = np.bincount(
             pid_row[side == 1], weights=lens[side == 1], minlength=n_pairs
         ).astype(np.int64)
-        total = int(lens.sum())
-        if total:
+        if lens.sum():
             flat = np.concatenate(
                 [np.asarray(a, dtype=np.uint64) for a in sig_rows if len(a)]
             )
-            pid_val = np.repeat(pid_row, lens)
-            o2 = np.lexsort((flat, pid_val))
-            pv, vv = pid_val[o2], flat[o2]
-            dup = (pv[1:] == pv[:-1]) & (vv[1:] == vv[:-1])
-            inter = np.bincount(pv[1:][dup], minlength=n_pairs).astype(np.int64)
+            inter = _intersection_counts(np.repeat(pid_row, lens), flat, n_pairs)
         else:
             inter = np.zeros(n_pairs, dtype=np.int64)
         union = sa + sb - inter
@@ -633,36 +759,25 @@ def verify_jaccard(
         sigs = shingle_sig_table(ds, key_col, text_col, shingle_k)
         return _verify_pairs_distributed(candidate_pairs, sigs, threshold)
 
-    keys_needed = set()
-    for row in candidate_pairs.take_all():
-        keys_needed.add(row["key_a"])
-        keys_needed.add(row["key_b"])
-    if not keys_needed:
+    keys = [
+        b[c].to_numpy(zero_copy_only=False)
+        for b in candidate_pairs.iter_batches(batch_format="pyarrow")
+        for c in ("key_a", "key_b")
+    ]
+    if not sum(map(len, keys)):
         return _empty_pairs(with_jaccard=True)
-    needed = ds.map_batches(
-        lambda b: b.filter(
-            pa.compute.is_in(b[key_col], value_set=pa.array(sorted(keys_needed)))
-        ).select([key_col, text_col]),
-        batch_format="pyarrow",
-    ).take_all()
-    shingles = {
-        r[key_col]: set(_shingle_hashes(r[text_col], shingle_k).tolist()) for r in needed
-    }
-    ref = ray.put(shingles)
+    ref = ray.put(_needed_shingle_index(ds, key_col, text_col, np.concatenate(keys), shingle_k))
 
     def verify(batch: pa.Table) -> pa.Table:
-        sh = ray.get(ref)
-        a = batch["key_a"].to_numpy(zero_copy_only=False)
-        b = batch["key_b"].to_numpy(zero_copy_only=False)
-        jac = np.zeros(len(a))
-        for i in range(len(a)):
-            sa, sb = sh.get(a[i], set()), sh.get(b[i], set())
-            union = len(sa | sb)
-            jac[i] = len(sa & sb) / union if union else 0.0
+        jac = _pair_jaccard(
+            ray.get(ref),
+            batch["key_a"].to_numpy(zero_copy_only=False),
+            batch["key_b"].to_numpy(zero_copy_only=False),
+        )
         out = batch.select(["key_a", "key_b"]).append_column(
             "jaccard", pa.array(jac, pa.float64())
         )
-        return out.filter(pa.compute.greater_equal(out["jaccard"], threshold))
+        return out.filter(pc.greater_equal(out["jaccard"], threshold))
 
     return candidate_pairs.map_batches(verify, batch_format="pyarrow")
 
