@@ -40,11 +40,12 @@ def encode_png(rgba: np.ndarray, level: int = 6) -> bytes:
         raise ValueError("expected (h, w, 4) uint8")
     h, w = rgba.shape[:2]
     ihdr = struct.pack(">IIBBBBB", w, h, 8, 6, 0, 0, 0)
-    # filter byte 0 prepended to every scanline
+    # filter byte 0 prepended to every scanline; the pixels (a strided
+    # crop too) are copied once, straight into the buffer zlib reads
     raw = np.empty((h, w * 4 + 1), dtype=np.uint8)
     raw[:, 0] = 0
-    raw[:, 1:] = rgba.reshape(h, w * 4)
-    idat = zlib.compress(raw.tobytes(), level)
+    raw[:, 1:].reshape(h, w, 4)[...] = rgba
+    idat = zlib.compress(raw, level)
     return _SIG + _chunk(b"IHDR", ihdr) + _chunk(b"IDAT", idat) + _chunk(b"IEND", b"")
 
 

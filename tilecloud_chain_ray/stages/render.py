@@ -9,18 +9,24 @@ server, so the engine renders deterministically itself:
   single pixels, lines sampled, polygons PIP-filled over pixel
   centers).  Gives renderer-independent parity with the reference's
   structural goldens: a child tile is non-empty iff geometry touches it.
-* ``DensityRenderer`` — shades per-pixel page counts (the graft's
-  raster tile assembly; input rows carry pre-aggregated cell counts).
+  It is an actor class for ``map_batches`` (state: decoded geometries
+  and their STRtree, built once per actor); ``content_type`` =
+  image/png.
+* ``render_density_image`` — shades one tile's per-pixel page counts;
+  ``pipelines.density`` calls it once per tile.
 
-Both are actor classes for ``map_batches`` (state: decoded geometries /
-color tables built once per actor); ``content_type`` = image/png.
-``DensityRenderer`` and ``GeometryRenderer`` on a non-meta layer emit
-PNG bytes in column ``data``.  ``GeometryRenderer`` on a meta layer
-emits column ``pixels`` instead: the raw RGBA rows of every metatile of
-the batch in one contiguous ``large_binary`` buffer (``pixels_array``),
-which the metatile hash-drop and the splitter read as zero-copy numpy
-views (``pixel_images``).  The metatile PNG is internal to the chain,
-never stored, so it is never encoded.
+Both write each RGBA pixel as one native-order ``uint32`` word
+(``_words``): filling a metatile that way is ~50x faster than numpy's
+4-byte broadcast of a color, and the bytes are the same
+(``tests/test_render_words.py``).
+
+``GeometryRenderer`` on a non-meta layer emits PNG bytes in column
+``data``.  On a meta layer it emits column ``pixels`` instead: the raw
+RGBA rows of every metatile of the batch in one contiguous
+``large_binary`` buffer (``pixels_array``), which the metatile
+hash-drop and the splitter read as zero-copy numpy views
+(``pixel_images``).  The metatile PNG is internal to the chain, never
+stored, so it is never encoded.
 """
 
 from __future__ import annotations
@@ -42,6 +48,20 @@ from tilecloud_chain_ray.geom.ops import points_in_polygon
 BACKGROUND = np.array([240, 240, 240, 255], dtype=np.uint8)
 
 
+def _words(img: np.ndarray) -> np.ndarray:
+    """The (h, w) ``uint32`` view of the (h, w, 4) ``uint8`` image
+    ``img``: one word per RGBA pixel, in native byte order."""
+    return img.view(np.uint32)[..., 0]
+
+
+def _word(color: np.ndarray) -> np.uint32:
+    """The 4-byte RGBA ``color`` as the word ``_words`` stores for it."""
+    return np.ascontiguousarray(color, dtype=np.uint8).view(np.uint32)[0]
+
+
+_BACKGROUND_WORD = _word(BACKGROUND)
+
+
 def is_background(img: np.ndarray) -> bool:
     """Every pixel of the RGBA image ``img`` is ``BACKGROUND``."""
     return bool((img[0, 0] == BACKGROUND).all()) and is_uniform(img)
@@ -51,7 +71,7 @@ def is_background(img: np.ndarray) -> bool:
 def background_png(side: int, level: int = 6) -> bytes:
     """``encode_png`` of a geometry-free ``side``² render."""
     img = np.empty((side, side, 4), dtype=np.uint8)
-    img[:] = BACKGROUND
+    _words(img).fill(_BACKGROUND_WORD)
     return encode_png(img, level=level)
 
 
@@ -117,15 +137,25 @@ def render_leaves(
     """Rasterize leaf geometries into an RGBA image over ``extent``.
 
     Pixel (row 0, col 0) is the top-left; pixel centers sample the map.
-    ``out``, a (height, width, 4) uint8 array, receives the image when
+    ``out``, a (height, width, 4) uint8 array whose rows are C-contiguous
+    (a window of a larger C-ordered image is), receives the image when
     given.
     """
     width, height = size
     minx, miny, maxx, maxy = extent
     resx = (maxx - minx) / width
     resy = (maxy - miny) / height
-    img = np.empty((height, width, 4), dtype=np.uint8) if out is None else out
-    img[:] = BACKGROUND
+    if out is None:
+        img = np.empty((height, width, 4), dtype=np.uint8)
+    elif out.dtype != np.uint8 or out.shape != (height, width, 4) or out.strides[1:] != (4, 1):
+        raise ValueError(
+            f"out must be a ({height}, {width}, 4) uint8 array with C-contiguous rows"
+        )
+    else:
+        img = out
+    words = _words(img)
+    words.fill(_BACKGROUND_WORD)
+    ink = _word(color)
 
     def to_px(mx, my):
         col = np.floor((np.asarray(mx) - minx) / resx).astype(np.int64)
@@ -136,7 +166,7 @@ def render_leaves(
         if isinstance(leaf, Point):
             col, row = to_px(leaf.x, leaf.y)
             if 0 <= col < width and 0 <= row < height:
-                img[row, col] = color
+                words[row, col] = ink
         elif isinstance(leaf, LineString):
             c = leaf.coords
             for i in range(len(c) - 1):
@@ -150,7 +180,7 @@ def render_leaves(
                     c[i, 1] + t * (c[i + 1, 1] - c[i, 1]),
                 )
                 ok = (col >= 0) & (col < width) & (row >= 0) & (row < height)
-                img[row[ok], col[ok]] = color
+                words[row[ok], col[ok]] = ink
         elif isinstance(leaf, Polygon):
             gminx, gminy, gmaxx, gmaxy = leaf.bounds
             c0 = max(0, int(np.floor((gminx - minx) / resx)))
@@ -165,7 +195,7 @@ def render_leaves(
             py = maxy - (rows + 0.5) * resy
             gx, gy = np.meshgrid(px, py)
             inside = points_in_polygon(gx.ravel(), gy.ravel(), leaf).reshape(len(rows), len(cols))
-            img[r0:r1, c0:c1][inside] = color
+            words[r0:r1, c0:c1][inside] = ink
     return img
 
 
@@ -239,10 +269,11 @@ def render_density_image(
     color: np.ndarray,
     log_scale: bool = True,
 ) -> np.ndarray:
-    """Shade per-pixel counts into an RGBA image (shared by the
-    row-oriented DensityRenderer stage and the bucket assembler)."""
+    """Shade per-pixel counts into a ``size_px``² RGBA image; pixels
+    outside it are skipped."""
     img = np.empty((size_px, size_px, 4), dtype=np.uint8)
-    img[:] = BACKGROUND
+    words = _words(img)
+    words.fill(_BACKGROUND_WORD)
     ok = (cols >= 0) & (cols < size_px) & (rows >= 0) & (rows < size_px)
     if ok.any():
         v = counts[ok].astype(np.float64)
@@ -255,39 +286,6 @@ def render_density_image(
             + color[:3].astype(np.float64) * shade[:, None]
         ).astype(np.uint8)
         px[:, 3] = 255
-        img[rows[ok], cols[ok]] = px
+        words[rows[ok], cols[ok]] = px.view(np.uint32)[:, 0]
     return img
 
-
-class DensityRenderer:
-    """Render page-density tiles from per-pixel cell counts.
-
-    Input rows: one per (meta)tile, with ``pixel_cols``/``pixel_rows``/
-    ``pixel_counts`` list columns (pre-aggregated upstream by the
-    cell-count rollup — see pipelines.density).  Shades count -> alpha
-    ramp in the layer color; zero-count pixels stay background.
-    """
-
-    def __init__(self, layer: Layer, log_scale: bool = True, png_level: int = 3) -> None:
-        self.layer = layer
-        self.color = layer_color(layer.name)
-        self.log_scale = log_scale
-        self.png_level = png_level
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        grid = self.layer.grid
-        buffer_px = self.layer.meta_buffer if self.layer.meta else 0
-        n_col = batch["n"].to_numpy(zero_copy_only=False)
-        blobs = []
-        for i in range(batch.num_rows):
-            size_px = int(n_col[i]) * grid.tile_size + 2 * buffer_px
-            cols = np.asarray(batch["pixel_cols"][i].as_py(), dtype=np.int64) + buffer_px
-            rows = np.asarray(batch["pixel_rows"][i].as_py(), dtype=np.int64) + buffer_px
-            counts = np.asarray(batch["pixel_counts"][i].as_py(), dtype=np.float64)
-            img = render_density_image(cols, rows, counts, size_px, self.color, self.log_scale)
-            blobs.append(encode_png(img, level=self.png_level))
-        out = batch.drop_columns(["pixel_cols", "pixel_rows", "pixel_counts"])
-        out = out.append_column("data", pa.array(blobs, pa.binary()))
-        return out.append_column(
-            "content_type", pa.array(["image/png"] * batch.num_rows, pa.string())
-        )

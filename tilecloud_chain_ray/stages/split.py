@@ -48,7 +48,7 @@ def split_pixels(
             if is_background(crop):
                 yield dx, dy, background_png(tile_size)
             else:
-                yield dx, dy, encode_png(np.ascontiguousarray(crop))
+                yield dx, dy, encode_png(crop)
 
 
 def decode_metatiles(batch: pa.Table) -> pa.Table:
