@@ -8,6 +8,8 @@ import numpy as np
 import pyarrow.parquet as pq
 import pytest
 import ray
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tilecloud_chain_ray.pipelines.curate import curate_corpus
 from tilecloud_chain_ray.stages.curation import benchmark_shingles
@@ -291,3 +293,42 @@ def test_curate_corpus_lm_filter():
     tight = curate_corpus(docs, quality_min=0.0, lm_max_ppl=med, lm_sample_max_docs=200)
     n_tight = tight.survivors.count()
     assert 0 < n_tight < len(base_df)
+
+
+def _pandas_dedup_reference(batch, key_col):
+    """The exact-dedup kernel as a pandas sort + drop_duplicates."""
+    import pyarrow as pa
+
+    g = (
+        batch.to_pandas()
+        .sort_values(["content_md5", key_col])
+        .drop_duplicates("content_md5", keep="first")
+        .drop(columns=["content_md5", "_bucket"])
+    )
+    return pa.Table.from_pandas(g, preserve_index=False)
+
+
+@given(
+    picks=st.lists(st.integers(0, 9), min_size=1, max_size=80),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=25, deadline=None)
+def test_dedup_partition_matches_pandas_reference(picks, seed):
+    import pyarrow as pa
+
+    from tilecloud_chain_ray.pipelines.curate import make_dedup_partition, make_md5_bucket
+
+    rng = np.random.default_rng(seed)
+    n = len(picks)
+    t = pa.table(
+        {
+            "doc_id": pa.array(rng.permutation(n), pa.int64()),
+            "lang": [("de", "en", "fr")[p % 3] for p in picks],
+            "quality": pa.array(rng.random(n)),
+            "text": [f"text {p}" for p in picks],
+        }
+    )
+    tagged = make_md5_bucket("text", 16)(t)
+    got = make_dedup_partition("doc_id")(tagged)
+    assert got.to_pydict() == _pandas_dedup_reference(tagged, "doc_id").to_pydict()
+    assert got.schema.names == ["doc_id", "lang", "quality", "text"]

@@ -1,6 +1,10 @@
 """Geometry kernel tests: WKB round-trip, predicates, clipping, STRtree."""
 
+import warnings
+
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tilecloud_chain_ray.geom import (
     GeometryCollection,
@@ -114,6 +118,50 @@ def test_points_in_polygon_hole():
     px = np.array([50.0, 20.0, 90.0])
     py = np.array([50.0, 20.0, 95.0])
     assert points_in_polygon(px, py, donut).tolist() == [False, True, True]
+
+
+def _crossing_reference(px, py, polygon):
+    """Crossing number with the crossing x computed for every point on
+    every edge (the formula before the y-band restriction)."""
+
+    def in_ring(ring):
+        ring = np.asarray(ring, dtype=float)
+        inside = np.zeros(len(px), dtype=bool)
+        for (x, y), (xn, yn) in zip(ring[:-1], ring[1:]):
+            if y == yn:
+                continue
+            with np.errstate(all="ignore"):
+                xint = x + (xn - x) * (py - y) / (yn - y)
+            inside ^= ((y > py) != (yn > py)) & (px < xint)
+        return inside
+
+    result = in_ring(polygon.shell)
+    for hole in polygon.holes:
+        result &= ~in_ring(hole)
+    return result
+
+
+@given(
+    dy=st.floats(1e-300, 1e-6),
+    width=st.floats(1.0, 1e6),
+    pts=st.lists(
+        st.tuples(st.floats(-1e12, 1e12), st.floats(-1e12, 1e12)), min_size=1, max_size=50
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_points_in_polygon_near_horizontal_edge(dy, width, pts):
+    """A near-horizontal edge raises no overflow warning, and the
+    result equals the every-point formula."""
+    poly = Polygon(
+        [(0.0, 0.0), (width, dy), (width / 2, 10.0), (0.0, 0.0)],
+        holes=[[(1e-3, 1e-9), (width / 4, 1e-9 + dy), (width / 8, 1.0), (1e-3, 1e-9)]],
+    )
+    px = np.array([p[0] for p in pts] + [width / 2, width / 4], dtype=float)
+    py = np.array([p[1] for p in pts] + [dy / 2, 5.0], dtype=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = points_in_polygon(px, py, poly)
+    assert got.tolist() == _crossing_reference(px, py, poly).tolist()
 
 
 def test_buffer_point_diamond():

@@ -21,7 +21,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from tilecloud_chain_ray.util import (
-    _stripped_read_schema,
+    local_parquet_listing,
     read_parquet_clean,
     strip_meta,
 )
@@ -54,6 +54,10 @@ def test_strip_schema_metadata_zero_copy():
     )
     # no-op path returns the identical object
     assert strip_meta(out) is out
+
+
+def _stripped_read_schema(paths, columns):
+    return local_parquet_listing(paths, columns)[0]
 
 
 def test_stripped_read_schema_modes(tmp_path):

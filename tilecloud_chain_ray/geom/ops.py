@@ -149,9 +149,12 @@ def points_in_polygon(px: np.ndarray, py: np.ndarray, polygon: Polygon) -> np.nd
             yi, yni = y[i], yn[i]
             if yi == yni:
                 continue
-            cond = (yi > py) != (yni > py)
-            xint = x[i] + (xn[i] - x[i]) * (py - yi) / (yni - yi)
-            inside ^= cond & (px < xint)
+            # the crossing x only for points in the edge's y band: there
+            # |py - yi| <= |yni - yi|, so a near-horizontal edge cannot
+            # overflow it the way it does for points far outside the band
+            hit = np.flatnonzero((yi > py) != (yni > py))
+            xint = x[i] + (xn[i] - x[i]) * (py[hit] - yi) / (yni - yi)
+            inside[hit] ^= px[hit] < xint
         return inside
 
     result = in_ring(polygon.shell)

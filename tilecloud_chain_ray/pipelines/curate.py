@@ -41,6 +41,7 @@ import hashlib
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 
 from tilecloud_chain_ray.stages.curation import (
@@ -49,7 +50,7 @@ from tilecloud_chain_ray.stages.curation import (
     repetition_fraction_batch,
 )
 from tilecloud_chain_ray.stages.text import quality_score_batch, token_count_batch
-from tilecloud_chain_ray.util import hash_group_blocks, read_parquet_clean, strip_meta
+from tilecloud_chain_ray.util import hash_group_blocks, read_parquet_clean
 
 
 # Dedup-bucket count.  The bucket id is COMMITTED in curate_resumable's
@@ -108,20 +109,18 @@ def make_dedup_partition(key_col: str):
     """Exact-dedup kernel for the task exchange: min-key survivor per
     content md5 over one hash partition (deterministic no matter the
     block layout).  md5 groups never straddle partitions (the partition
-    key IS the md5-derived bucket), so drop_duplicates is exact no
-    matter how many buckets co-locate in a partition."""
+    key IS the md5-derived bucket), so keeping the first row of each
+    md5 run after an (md5, key) sort is exact no matter how many
+    buckets co-locate in a partition."""
 
     def dedup_partition(batch: pa.Table) -> pa.Table:
+        tags = [c for c in ("content_md5", "_bucket") if c in batch.column_names]
         if batch.num_rows == 0:
-            drop = [c for c in ("content_md5", "_bucket") if c in batch.column_names]
-            return batch.drop_columns(drop)  # tolerate the schema-less probe
-        g = (
-            batch.to_pandas()
-            .sort_values(["content_md5", key_col])
-            .drop_duplicates("content_md5", keep="first")
-            .drop(columns=["content_md5", "_bucket"])
-        )
-        return strip_meta(pa.Table.from_pandas(g, preserve_index=False))
+            return batch.drop_columns(tags)  # tolerate the schema-less probe
+        batch = batch.sort_by([("content_md5", "ascending"), (key_col, "ascending")])
+        md5 = batch["content_md5"].combine_chunks()
+        first = pa.concat_arrays([pa.array([True]), pc.not_equal(md5[1:], md5[:-1])])
+        return batch.filter(first).drop_columns(tags)
 
     return dedup_partition
 

@@ -190,20 +190,13 @@ def generate_tiles(
 
         zoom_list = list(zooms) if zooms is not None else layer.seed_zooms()
         intervals = list(dense_intervals(layer, geoms, zoom_list))
-        total_coords = sum(i.count() for i in intervals)
         coords = dense_coord_dataset(layer, intervals=intervals)
-        # tiny job: per-block batches end-to-end so the ~10 metatiles
-        # render in parallel tasks instead of one fused serial task
-        # (block-merge by the batch bundler otherwise serializes them —
-        # measured 2.1 s -> 0.5 s on the point_hash golden)
-        if total_coords <= 256:
-            render_batch_size = None
-            filter_batch_size = None
-        else:
-            filter_batch_size = 8192
+        # whole-block batches: the source's blocks are its tasks (one
+        # per core, raised per enumerate.BLOCK_UNIT coords), and a
+        # row-count batch size would let the bundler merge them back
+        # into one fused task
         coords = add_geom_filter(
-            coords, layer, geoms=geoms, concurrency=concurrency,
-            batch_size=filter_batch_size,
+            coords, layer, geoms=geoms, concurrency=concurrency, batch_size=None
         )
     coords = add_dimensions(coords, layer)
 
@@ -249,11 +242,17 @@ def generate_tiles(
             return r(batch)
 
         rows = coords
-    tiles = rows.map_batches(
-        tile_chain(layer, empty_meta, empty_tile, render_fn),
-        batch_format="pyarrow",
-        batch_size=render_batch_size,
-    )
+    chain = tile_chain(layer, empty_meta, empty_tile, render_fn)
+
+    def render_block(block: pa.Table):
+        # render_batch_size rows per call inside each block, with no
+        # batch_size on the map: that would bundle small input blocks
+        # (the fused enumeration's interval rows) into one task
+        step = render_batch_size or max(block.num_rows, 1)
+        for start in range(0, max(block.num_rows, 1), step):
+            yield chain(block.slice(start, step))
+
+    tiles = rows.map_batches(render_block, batch_format="pyarrow", batch_size=None)
 
     if out_wmts is not None:
 

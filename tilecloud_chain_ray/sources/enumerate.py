@@ -31,6 +31,7 @@ from tilecloud_chain_ray.coords import (
     sparse_row_intervals,
 )
 from tilecloud_chain_ray.geom import Geometry, buffer_geometry
+from tilecloud_chain_ray.util import default_buckets
 
 INTERVAL_SCHEMA = pa.schema(
     [
@@ -126,6 +127,39 @@ def expand_intervals_batch(batch: pa.Table) -> pa.Table:
     )
 
 
+# work of one source block: a source is cut into one block per cluster
+# core, raised to one per BLOCK_UNIT coords (dense) or (z, row) bands
+# (sparse), so a large job stays spread whatever core count the plan saw
+BLOCK_UNIT = 256
+
+
+def source_blocks(table: pa.Table, weights: np.ndarray) -> ray.data.Dataset:
+    """``table`` as contiguous blocks cut on the driver, each holding
+    about an equal share of ``weights`` (the rows' work): one block per
+    cluster core, raised to one per :data:`BLOCK_UNIT` of total weight
+    or per heaviest row if that is more (rows are not split, so a finer
+    cut only adds light blocks).
+
+    The downstream stages take whole blocks (no ``batch_size``), so a
+    block is one fused task.  The core count alone is no floor: it is
+    read once, when the plan is built, and a head started with
+    ``num_cpus=0`` reports none.  Cutting on the driver costs no
+    all-to-all barrier: on 1 CPU the traced ``metatile_seed`` source
+    (6 metatiles) took 0.17 s with a ``repartition`` to one block per
+    row and 0.10 s with driver slices."""
+    rows = table.num_rows
+    total = int(weights.sum())
+    unit = max(BLOCK_UNIT, int(weights.max(initial=0)))
+    k = max(1, min(rows, max(default_buckets(), -(-total // unit))))
+    # cut i goes where the rows' weight midpoints pass i/k of the total,
+    # moved just enough that every one of the k slices keeps a row
+    step = np.arange(1, k)
+    near = np.searchsorted(np.cumsum(weights) - weights / 2, total * step / k)
+    cuts = step + np.clip(np.maximum.accumulate(near - step), 0, rows - k)
+    bounds = [0, *cuts.tolist(), rows]
+    return ray.data.from_arrow([table.slice(a, b - a) for a, b in zip(bounds, bounds[1:])])
+
+
 def dense_coord_dataset(
     layer: Layer,
     cli_bbox: tuple[float, float, float, float] | None = None,
@@ -145,14 +179,10 @@ def dense_coord_dataset(
     table = intervals_to_table(
         intervals, layer.name, layer.grid.name, max_coords_per_row
     )
-    ds = ray.data.from_arrow(table)
-    # one block per interval row for small jobs: the expand->filter->
-    # render chain fuses per input block, so a single-block table would
-    # serialize the whole render on one task (measured 2.1 s for the
-    # 10-metatile golden vs ~0.4 s split)
-    if table.num_rows > 1:
-        ds = ds.repartition(min(64, table.num_rows))
-    return ds.map_batches(expand_intervals_batch, batch_format="pyarrow")
+    coords = (table["x_end"].to_numpy() - table["x_start"].to_numpy()) // table["n"].to_numpy() + 1
+    return source_blocks(table, coords).map_batches(
+        expand_intervals_batch, batch_format="pyarrow"
+    )
 
 
 class _BandWalker:
@@ -237,14 +267,11 @@ def sparse_coord_dataset(
         }
     )
     geoms_ref = ray.put(geoms)
-    ds = ray.data.from_arrow(bands)
-    if len(band_rows) > 1:
-        ds = ds.repartition(min(64, len(band_rows)))
-    intervals = ds.map_batches(
+    intervals = source_blocks(bands, np.ones(len(band_rows), np.int64)).map_batches(
         _BandWalker,
         fn_constructor_kwargs={"layer": layer, "geoms_ref": geoms_ref},
         batch_format="pyarrow",
         concurrency=concurrency,
-        batch_size=256,
+        batch_size=None,
     )
     return intervals.map_batches(expand_intervals_batch, batch_format="pyarrow")

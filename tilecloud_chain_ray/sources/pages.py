@@ -15,7 +15,9 @@ from datetime import datetime, timezone
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
-from tilecloud_chain_ray.util import read_parquet_clean
+
+from tilecloud_chain_ray.util import exchange_width, local_parquet_listing, read_parquet_clean
+
 PAGES_SCHEMA = pa.schema(
     [
         ("url", pa.string()),
@@ -129,6 +131,18 @@ def synthesize_pages(
 
 
 def read_pages(path: str, columns: list[str] | None = None):
-    import ray
-
-    return read_parquet_clean(path, columns=columns)
+    """The pages table at ``path`` as a Dataset, read like an exchange:
+    one read task per cluster core, raised per 128 MiB of on-disk bytes
+    (:func:`~tilecloud_chain_ray.util.exchange_width`), at most one per
+    file.  Ray's own width, ``max(min(200, est. MiB), 2 × cpus)``,
+    split a 4.6 MiB, 16-file page table into 12 read tasks on 1 CPU
+    (0.30 s against 0.12 s as one task).  A remote ``path`` keeps
+    Ray's width; :func:`~tilecloud_chain_ray.util.read_parquet_clean`
+    reads with Ray's width everywhere."""
+    schema, nbytes = local_parquet_listing(path, columns)
+    return read_parquet_clean(
+        path,
+        columns=columns,
+        schema=schema,
+        override_num_blocks=None if nbytes is None else exchange_width(nbytes),
+    )

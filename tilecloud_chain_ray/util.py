@@ -90,36 +90,46 @@ def strip_meta(batch):
     return batch.replace_schema_metadata(None) if batch.schema.metadata else batch
 
 
-def _stripped_read_schema(paths, columns):
-    """Metadata-free read schema from the first parquet file, or None
-    when it can't be derived safely (hive-partitioned directory — the
-    partition columns aren't in the file schema — or a requested
-    column missing from the file)."""
-    import os
+def local_parquet_listing(paths, columns):
+    """One walk of local parquet ``paths``: ``(schema, nbytes)``.
 
+    ``schema`` is the metadata-free read schema of the first file, or
+    None when it can't be derived safely (hive-partitioned directory —
+    the partition columns aren't in the file schema — or a requested
+    column missing from the file).  ``nbytes`` is the on-disk size of
+    every parquet file the read covers, or None when any path is not a
+    local file or directory (a remote URI)."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    p = paths[0] if isinstance(paths, (list, tuple)) and paths else paths
-    if not isinstance(p, str):
-        return None
-    if os.path.isdir(p):
-        names = sorted(os.listdir(p))
-        if any(os.path.isdir(os.path.join(p, n)) for n in names):
-            return None  # partitioned layout
-        parqs = [n for n in names if n.endswith(".parquet")]
-        if not parqs:
-            return None
-        p = os.path.join(p, parqs[0])
-    if not os.path.isfile(p):
-        return None
+    files: list[str] = []
+    nbytes = 0
+    partitioned = False
+    for p in paths if isinstance(paths, (list, tuple)) else [paths]:
+        if not isinstance(p, str):
+            return None, None
+        if os.path.isfile(p):
+            files.append(p)
+            nbytes += os.path.getsize(p)
+        elif os.path.isdir(p):
+            for root, dirs, names in os.walk(p):
+                dirs.sort()
+                partitioned |= bool(dirs)
+                for n in sorted(names):
+                    if n.endswith(".parquet"):
+                        files.append(os.path.join(root, n))
+                        nbytes += os.path.getsize(files[-1])
+        else:
+            return None, None
+    if partitioned or not files:
+        return None, nbytes
     try:
-        schema = pq.read_schema(p).remove_metadata()
+        schema = pq.read_schema(files[0]).remove_metadata()
         if columns:
             schema = pa.schema([schema.field(c) for c in columns])
-        return schema
+        return schema, nbytes
     except (OSError, KeyError):
-        return None
+        return None, nbytes
 
 
 def read_parquet_clean(paths, **kwargs):
@@ -130,11 +140,14 @@ def read_parquet_clean(paths, **kwargs):
     from the first file (kills the slow unify + warning *inside* the
     read tasks too), and always appends the zero-copy strip stage as a
     catch-all for partitioned layouts where the schema can't be
-    pre-computed."""
+    pre-computed.  A caller that already listed the paths
+    (:func:`local_parquet_listing`) passes ``schema=``, even None, and
+    no second walk is made.  The read width is Ray's unless the caller
+    passes ``override_num_blocks=``."""
     import ray
 
     if "schema" not in kwargs:
-        schema = _stripped_read_schema(paths, kwargs.get("columns"))
+        schema, _ = local_parquet_listing(paths, kwargs.get("columns"))
         if schema is not None:
             kwargs["schema"] = schema
     return ray.data.read_parquet(paths, **kwargs).map_batches(
@@ -301,12 +314,15 @@ def hash_group_blocks(ds, keys, kernel, num_partitions=None):
     ``blocks × width`` ObjectRefs (the split outputs) — at ~100 bytes
     a ref, a 100k-block input through a 1024-wide exchange is ~10 GB
     of driver refs, which is the practical ceiling.  The repo's callers
-    stay far under it because every exchange input is a COMBINER
-    OUTPUT (one small partial block per input block, so ``blocks`` ~
-    read parallelism, not row count); for a raw-row exchange at that
-    scale, coalesce the input first (``repartition(shuffle=False)``)
-    or split the exchange into two hash levels (sqrt(width) each) —
-    the same ref-fan trade Ray's push-based shuffle makes internally.
+    stay far under it because ``blocks`` tracks the source's read
+    width, not its row count (the page table reads into
+    :func:`exchange_width` of its on-disk bytes, other parquet reads
+    into Ray's default ``max(min(200, MiB), 2 × cpus)`` blocks), and
+    most exchange inputs are COMBINER OUTPUTS (one small partial block
+    per input block); for a raw-row exchange at that scale, coalesce
+    the input first (``repartition(shuffle=False)``) or split the
+    exchange into two hash levels (sqrt(width) each) — the same
+    ref-fan trade Ray's push-based shuffle makes internally.
     """
     import pyarrow as pa
     import ray
