@@ -19,3 +19,23 @@ def ray_session():
         )
     yield
     ray.shutdown()
+
+
+@pytest.fixture
+def on_cluster():
+    """``with on_cluster():`` pins every operator that can run on the
+    driver (MinHash verify, hamming pairs, connected components, the
+    near-dedup drop set, the Bloom residue) to its cluster placement,
+    by setting ``util.DRIVER_MAX_BYTES`` to 0 — the only way to pick a
+    placement; no operator takes an option for it."""
+    import contextlib
+
+    import tilecloud_chain_ray.util as util
+
+    @contextlib.contextmanager
+    def pinned():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(util, "DRIVER_MAX_BYTES", 0)
+            yield
+
+    return pinned

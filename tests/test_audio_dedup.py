@@ -86,7 +86,7 @@ def test_audio_near_dup_finds_planted_variants():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_audio_near_dup_distributed_matches_driver():
+def test_audio_near_dup_distributed_matches_driver(on_cluster):
     n = 10
     payloads, ids = [], []
     for i in range(n):
@@ -101,9 +101,8 @@ def test_audio_near_dup_distributed_matches_driver():
         )
     )
     fast = audio_near_dup_pairs(media, max_hamming=3, concurrency=(1, 2)).to_pandas()
-    dist = audio_near_dup_pairs(
-        media, max_hamming=3, concurrency=(1, 2), force_distributed=True
-    ).to_pandas()
+    with on_cluster():
+        dist = audio_near_dup_pairs(media, max_hamming=3, concurrency=(1, 2)).to_pandas()
     fp = {(a, b, h) for a, b, h in zip(fast["key_a"], fast["key_b"], fast["hamming"])}
     dp = {(a, b, h) for a, b, h in zip(dist["key_a"], dist["key_b"], dist["hamming"])}
     assert fp == dp and len(fp) >= n

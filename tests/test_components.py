@@ -42,30 +42,32 @@ def random_pairs(rng, n_nodes: int, n_edges: int) -> pd.DataFrame:
 
 
 @pytest.mark.usefixtures("ray_session")
-@pytest.mark.parametrize("force_distributed", [False, True])
-def test_connected_components_vs_sql_closure(force_distributed):
+@pytest.mark.parametrize("cluster", [False, True])
+def test_connected_components_vs_sql_closure(cluster, on_cluster):
+    import contextlib
+
     import ray
 
     from tilecloud_chain_ray.stages.components import connected_components
 
     rng = np.random.default_rng(17)
     df = random_pairs(rng, n_nodes=200, n_edges=300)
-    got = (
-        connected_components(
-            ray.data.from_arrow(pa.Table.from_pandas(df, preserve_index=False)),
-            force_distributed=force_distributed,
-            n_buckets=8,
+    with on_cluster() if cluster else contextlib.nullcontext():
+        got = (
+            connected_components(
+                ray.data.from_arrow(pa.Table.from_pandas(df, preserve_index=False)),
+                n_buckets=8,
+            )
+            .to_pandas()
+            .sort_values("key")
+            .reset_index(drop=True)
         )
-        .to_pandas()
-        .sort_values("key")
-        .reset_index(drop=True)
-    )
     want = oracle_components(df).astype({"key": np.int64, "component": np.int64})
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_connected_components_chain_diameter():
+def test_connected_components_chain_diameter(on_cluster):
     """A long path graph exercises multi-round label propagation (the
     min label must travel the full diameter)."""
     import ray
@@ -74,11 +76,11 @@ def test_connected_components_chain_diameter():
 
     keys = np.arange(50, dtype=np.int64)[::-1] + 100  # 149..100 chained
     df = pd.DataFrame({"key_a": keys[:-1], "key_b": keys[1:]})
-    got = connected_components(
-        ray.data.from_arrow(pa.Table.from_pandas(df, preserve_index=False)),
-        force_distributed=True,
-        n_buckets=4,
-    ).to_pandas()
+    with on_cluster():
+        got = connected_components(
+            ray.data.from_arrow(pa.Table.from_pandas(df, preserve_index=False)),
+            n_buckets=4,
+        ).to_pandas()
     assert (got["component"] == 100).all()
     assert len(got) == 50
 
@@ -129,9 +131,10 @@ def test_near_dedup_survivors_on_documents():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_near_dedup_survivors_bloom_path_equals_broadcast():
-    """Force the over-gate Bloom anti-join path and assert it keeps
-    exactly the same docs as the broadcast path."""
+def test_near_dedup_survivors_bloom_path_equals_broadcast(on_cluster):
+    """Pin the cluster placement (components by label propagation, the
+    drop set through the Bloom anti-join) and assert it keeps exactly
+    the same docs as the driver placement."""
     import ray
 
     from tilecloud_chain_ray.stages.components import near_dedup_survivors
@@ -155,12 +158,10 @@ def test_near_dedup_survivors_bloom_path_equals_broadcast():
         r["doc_id"]
         for r in near_dedup_survivors(docs, pairs, key_col="doc_id").take_all()
     )
-    b = set(
-        r["doc_id"]
-        for r in near_dedup_survivors(
-            docs, pairs, key_col="doc_id", broadcast_max_bytes=0
-        ).take_all()
-    )
+    with on_cluster():
+        b = set(
+            r["doc_id"] for r in near_dedup_survivors(docs, pairs, key_col="doc_id").take_all()
+        )
     assert a == b
     assert len(a) == n - 2 * len(base)  # two dropped per 3-cluster
     assert set(base.tolist()) <= a  # min key survives
@@ -184,9 +185,11 @@ def test_near_dedup_survivors_no_pairs():
 
 
 @pytest.mark.usefixtures("ray_session")
-@pytest.mark.parametrize("force_distributed", [False, True])
-def test_connected_components_self_and_duplicate_pairs(force_distributed):
+@pytest.mark.parametrize("cluster", [False, True])
+def test_connected_components_self_and_duplicate_pairs(cluster, on_cluster):
     """Self-pairs and repeated pairs neither crash nor change components."""
+    import contextlib
+
     import ray
 
     from tilecloud_chain_ray.stages.components import connected_components
@@ -197,16 +200,16 @@ def test_connected_components_self_and_duplicate_pairs(force_distributed):
             "key_b": [5, 7, 7, 7, 11],
         }
     )
-    got = (
-        connected_components(
-            ray.data.from_arrow(pa.Table.from_pandas(df, preserve_index=False)),
-            force_distributed=force_distributed,
-            n_buckets=4,
+    with on_cluster() if cluster else contextlib.nullcontext():
+        got = (
+            connected_components(
+                ray.data.from_arrow(pa.Table.from_pandas(df, preserve_index=False)),
+                n_buckets=4,
+            )
+            .to_pandas()
+            .sort_values("key")
+            .reset_index(drop=True)
         )
-        .to_pandas()
-        .sort_values("key")
-        .reset_index(drop=True)
-    )
     want = oracle_components(df).astype({"key": np.int64, "component": np.int64})
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
     comp = dict(zip(got["key"], got["component"]))

@@ -87,3 +87,44 @@ def test_dense_dataset_247_no_meta():
     layer = Layer(name="nm", grid=SWISSGRID_5, meta=False)
     ds = dense_coord_dataset(layer, zooms=[0])
     assert ds.count() == 247
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("concurrency", [2, (1, 4)])
+def test_sparse_walk_is_a_task_map(concurrency):
+    """The band walk is a plain task map (no actor pool, whose object-store
+    constructor arguments break its restart), accepts both concurrency
+    forms, and gives exactly the coords of walking every band row of
+    every zoom on the driver."""
+    import pyarrow as pa
+    from ray.data import ActorPoolStrategy
+
+    from tilecloud_chain_ray.coords import sparse_row_intervals
+    from tilecloud_chain_ray.sources.enumerate import expand_intervals_batch, intervals_to_table
+
+    layer = point_layer(
+        name="mixed",
+        geometries=(
+            POINTS,
+            Polygon([(560000, 120000), (640000, 130000), (600000, 210000)]),
+        ),
+        min_resolution_seed=12,
+    )
+    ds = sparse_coord_dataset(layer, concurrency=concurrency)
+    op, ops = ds._logical_plan.dag, []
+    while op is not None:
+        ops.append(op)
+        op = op.input_dependencies[0] if op.input_dependencies else None
+    assert not any(isinstance(getattr(o, "_compute", None), ActorPoolStrategy) for o in ops)
+
+    geoms = layer.geoms_per_zoom()
+    ref = expand_intervals_batch(
+        intervals_to_table(
+            [iv for z in layer.seed_zooms() for iv in sparse_row_intervals(layer, geoms[z], z)],
+            layer.name,
+            layer.grid.name,
+        )
+    )
+    key = lambda t: sorted(zip(*(t[c].to_pylist() for c in ("z", "x", "y", "n"))))  # noqa: E731
+    got = pa.concat_tables(ds.iter_batches(batch_format="pyarrow"))
+    assert key(got) == key(ref) and got.num_rows > 6

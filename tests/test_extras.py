@@ -502,8 +502,8 @@ def test_hash_join_inner_preserves_int_dtypes():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_bloom_anti_join_distributed_residue_equals_driver():
-    """force_distributed routes the flagged residue through the
+def test_bloom_anti_join_distributed_residue_equals_driver(on_cluster):
+    """The cluster placement routes the flagged residue through the
     bucketed arrow anti-join; at bits_per_key=2 (~38% FP) both paths
     must produce the exact anti-join with identical schema."""
     import numpy as np
@@ -526,7 +526,8 @@ def test_bloom_anti_join_distributed_residue_equals_driver():
 
     kw = dict(on="k", n_keys_hint=len(right_keys), bits_per_key=2)
     driver = bloom_anti_join(left, right, **kw)
-    dist = bloom_anti_join(left, right, force_distributed=True, **kw)
+    with on_cluster():
+        dist = bloom_anti_join(left, right, **kw)
     want = sorted(
         (int(k), int(k) * 3) for k in left_keys if k not in set(right_keys.tolist())
     )

@@ -96,7 +96,7 @@ def test_image_near_dup_finds_planted_variants(method):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_image_near_dup_distributed_matches_driver():
+def test_image_near_dup_distributed_matches_driver(on_cluster):
     n = 16
     payloads, ids = [], []
     for i in range(n):
@@ -112,7 +112,8 @@ def test_image_near_dup_distributed_matches_driver():
     )
     kw = dict(codec="png", method="dhash", max_hamming=3, concurrency=(1, 2))
     fast = image_near_dup_pairs(media, **kw).to_pandas()
-    dist = image_near_dup_pairs(media, force_distributed=True, **kw).to_pandas()
+    with on_cluster():
+        dist = image_near_dup_pairs(media, **kw).to_pandas()
     fp = {(a, b, h) for a, b, h in zip(fast["key_a"], fast["key_b"], fast["hamming"])}
     dp = {(a, b, h) for a, b, h in zip(dist["key_a"], dist["key_b"], dist["hamming"])}
     assert fp == dp and len(fp) >= n

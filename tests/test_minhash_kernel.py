@@ -166,9 +166,11 @@ def test_null_text_fails_the_near_dedup_paths():
     )
     with pytest.raises(Exception, match="'text'"):
         dd.minhash_dedup_pairs(docs).materialize()
-    pairs = ray.data.from_arrow(pa.table({"key_a": [0, 1], "key_b": [2, 2]}))
+    # both verify placements refuse it too
     with pytest.raises(ValueError, match="'text'"):
-        dd.verify_jaccard(pairs, docs)
+        dd._needed_shingle_index(docs, "doc_id", "text", np.array([0, 2]))
+    with pytest.raises(Exception, match="'text'"):
+        dd.shingle_sig_table(docs).materialize()
 
 
 def test_every_code_point_splits_as_in_python():

@@ -62,7 +62,7 @@ def test_exact_dedup_counts_null_key_rows():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_distributed_pair_paths_without_pairs():
+def test_distributed_pair_paths_without_pairs(on_cluster):
     # no candidate pairs anywhere: the pair-dedup exchange gets a
     # schema-less empty input and must still return typed empty pairs
     banded = ray.data.from_arrow(
@@ -72,29 +72,30 @@ def test_distributed_pair_paths_without_pairs():
     hashed = ray.data.from_arrow(
         pa.table({"doc_id": [1, 2], "simhash": pa.array([0, (1 << 62) - 1], pa.int64())})
     )
-    assert dd.hamming_blocked_pairs(hashed, force_distributed=True).count() == 0
+    with on_cluster():
+        assert dd.hamming_blocked_pairs(hashed).count() == 0
 
 
 @pytest.mark.usefixtures("ray_session")
 def test_minhash_finds_exact_dups():
     table = docs_with_dups()
     ds = ray.data.from_arrow(table)
-    cand = dd.minhash_candidates(ds, concurrency=(1, 2))
-    verified = dd.verify_jaccard(cand, ds, threshold=0.99).to_pandas()
+    verified = dd.minhash_dedup_pairs(ds, threshold=0.99).to_pandas()
     got = {(a, b) for a, b in zip(verified["key_a"], verified["key_b"])}
     expected = {(i - 10, i) for i in range(10, 200, 10)}
     assert expected <= got
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_minhash_distributed_path_matches_driver():
-    """The distributed pair-expansion + bucketed sig join must produce
-    the same verified pairs as the driver shortcut (no take_all on a
+def test_minhash_distributed_path_matches_driver(on_cluster):
+    """The bucketed sig-join verify must produce the same verified
+    pairs and Jaccard as the driver verify (no take_all on a
     duplication-proportional dataset)."""
     table = docs_with_dups()
     ds = ray.data.from_arrow(table)
     fast = dd.minhash_dedup_pairs(ds, threshold=0.8).to_pandas()
-    dist = dd.minhash_dedup_pairs(ds, threshold=0.8, force_distributed=True).to_pandas()
+    with on_cluster():
+        dist = dd.minhash_dedup_pairs(ds, threshold=0.8).to_pandas()
     fp = {(a, b) for a, b in zip(fast["key_a"], fast["key_b"])}
     dp = {(a, b) for a, b in zip(dist["key_a"], dist["key_b"])}
     assert fp == dp and len(fp) > 0
@@ -105,21 +106,21 @@ def test_minhash_distributed_path_matches_driver():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_verify_jaccard_distributed_matches_broadcast():
+def test_verify_jaccard_distributed_matches_broadcast(on_cluster):
+    """The two verify placements of ``minhash_dedup_pairs`` agree at a
+    second threshold, on an input read as several blocks."""
     table = docs_with_dups()
-    ds = ray.data.from_arrow(table)
-    cand = dd.minhash_candidates(ds, concurrency=(1, 2)).materialize()
-    broad = dd.verify_jaccard(cand, ds, threshold=0.9).to_pandas()
-    dist = dd.verify_jaccard(
-        cand, ds, threshold=0.9, small_table_max_bytes=0
-    ).to_pandas()
+    ds = ray.data.from_arrow(table).repartition(3).materialize()
+    broad = dd.minhash_dedup_pairs(ds, threshold=0.9).to_pandas()
+    with on_cluster():
+        dist = dd.minhash_dedup_pairs(ds, threshold=0.9).to_pandas()
     bp = {(a, b) for a, b in zip(broad["key_a"], broad["key_b"])}
     dp = {(a, b) for a, b in zip(dist["key_a"], dist["key_b"])}
     assert bp == dp and len(bp) > 0
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_verify_jaccard_distributed_dup_heavy():
+def test_verify_jaccard_distributed_dup_heavy(on_cluster):
     """Dup-heavy corpus (~60% planted copies across 30k docs) through
     the distributed verify leg: the vectorized combine_bucket (one
     lexsort over concatenated sig buffers, no per-pair Python) must
@@ -142,13 +143,20 @@ def test_verify_jaccard_distributed_dup_heavy():
     ds = ray.data.from_arrow(
         pa.Table.from_pydict({"doc_id": pa.array(ids), "text": pa.array(texts)})
     ).repartition(8)
-    cand = dd.minhash_candidates(ds, concurrency=(1, 2)).materialize()
+    verified = []
+    orig = dd._verify_pairs_distributed
+
+    def spy(*a, **k):
+        verified.append(True)
+        return orig(*a, **k)
+
     t0 = time.perf_counter()
-    dist = dd.verify_jaccard(
-        cand, ds, threshold=0.99, small_table_max_bytes=0
-    ).to_pandas()
+    with on_cluster(), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dd, "_verify_pairs_distributed", spy)
+        dist = dd.minhash_dedup_pairs(ds, threshold=0.99).to_pandas()
     elapsed = time.perf_counter() - t0
-    assert elapsed < 120, f"distributed verify took {elapsed:.1f}s"
+    assert verified, "the dup-heavy case must verify on the cluster"
+    assert elapsed < 120, f"minhash_dedup_pairs took {elapsed:.1f}s"
     # every planted (source, copy) pair with distinct texts verifies at 1.0
     pairs = {(a, b) for a, b in zip(dist["key_a"], dist["key_b"])}
     sample = [(int(min(s, n_base + j)), int(max(s, n_base + j)))
@@ -158,19 +166,105 @@ def test_verify_jaccard_distributed_dup_heavy():
     assert (dist["jaccard"] >= 0.99).all()
 
 
+def test_candidate_rules_repeated_keys_and_max_bucket(caplog):
+    """The one candidate kernel: a key repeated in a run never pairs
+    with itself, its pair with another key is reported once, keys come
+    out as key_a < key_b, and ``max_bucket`` counts the rows of a run
+    (repeated keys included), skipping a larger run with a warning."""
+    import logging
+
+    batch = pa.table(
+        {
+            "key": pa.array([7, 3, 7, 9, 9, 4, 4, 5], pa.int64()),
+            "band": pa.array([0, 0, 0, 1, 1, 2, 2, 2], pa.int32()),
+            "band_hash": pa.array([5, 5, 5, 6, 6, 8, 8, 8], pa.int64()),
+        }
+    )
+    with caplog.at_level(logging.WARNING, logger=dd.logger.name):
+        got = dd._bucket_run_pairs(batch, max_bucket=10).to_pylist()
+    assert not caplog.records
+    # run (0, 5) = {7, 3, 7}; run (1, 6) = {9, 9}; run (2, 8) = {4, 4, 5}
+    assert sorted((r["key_a"], r["key_b"]) for r in got) == [(3, 7), (4, 5)]
+    assert all(r["key_a"] < r["key_b"] for r in got)
+
+    with caplog.at_level(logging.WARNING, logger=dd.logger.name):
+        got = dd._bucket_run_pairs(batch, max_bucket=2).to_pylist()
+    # both 3-row runs are skipped although each has only 2 distinct keys
+    assert got == []
+    assert "max_bucket=2" in caplog.text and "NOT reported" in caplog.text
+
+
 @pytest.mark.usefixtures("ray_session")
-def test_simhash_distributed_path_matches_driver():
+def test_minhash_dedup_pairs_repeated_keys_and_max_bucket():
+    """End to end: repeated doc keys give no self-pair and one row per
+    pair, and identical texts above ``max_bucket`` rows give no pair."""
+    texts = ["a b c d e f g"] * 3 + ["p q r s t u v"] * 2
+    ds = ray.data.from_arrow(pa.table({"doc_id": [1, 1, 2, 5, 6], "text": texts}))
+    got = dd.minhash_dedup_pairs(ds).to_pandas()
+    assert sorted(zip(got["key_a"], got["key_b"])) == [(1, 2), (5, 6)]
+    assert (got["jaccard"] == 1.0).all()
+    got = dd.minhash_dedup_pairs(ds, max_bucket=2).to_pandas()
+    assert sorted(zip(got["key_a"], got["key_b"])) == [(5, 6)]
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_minhash_dedup_pairs_empty_input():
+    empty = ray.data.from_arrow(
+        pa.table({"doc_id": pa.array([], pa.int64()), "text": pa.array([], pa.string())})
+    )
+    out = dd.minhash_dedup_pairs(empty)
+    assert out.count() == 0
+    assert out.schema().names == ["key_a", "key_b", "jaccard"]
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_minhash_verify_placed_by_candidate_universe(monkeypatch):
+    """The verify runs on the driver while two 4 KiB shingle sets per
+    candidate pair fit ``util.DRIVER_MAX_BYTES`` and on the cluster
+    one byte beyond, with the same pairs either way."""
+    from tilecloud_chain_ray import util
+
+    ds = ray.data.from_arrow(docs_with_dups()).materialize()
+    n_cand = dd._expand_hot_bucket_pairs(
+        ds.map_batches(lambda b: dd._band_cached(b, "doc_id", "text", 64, 16), batch_format="pyarrow")
+    ).count()
+    assert n_cand > 0
+    placed = []
+    orig_driver, orig_cluster = dd._needed_shingle_index, dd._verify_pairs_distributed
+
+    def driver(*a, **k):
+        placed.append("driver")
+        return orig_driver(*a, **k)
+
+    def cluster(*a, **k):
+        placed.append("cluster")
+        return orig_cluster(*a, **k)
+
+    monkeypatch.setattr(dd, "_needed_shingle_index", driver)
+    monkeypatch.setattr(dd, "_verify_pairs_distributed", cluster)
+    results = []
+    for limit in (n_cand * 2 * 4096, n_cand * 2 * 4096 - 1):
+        monkeypatch.setattr(util, "DRIVER_MAX_BYTES", limit)
+        out = dd.minhash_dedup_pairs(ds).to_pandas()
+        results.append(sorted(zip(out["key_a"], out["key_b"], out["jaccard"])))
+    assert placed == ["driver", "cluster"]
+    assert results[0] == results[1] and results[0]
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_simhash_distributed_path_matches_driver(on_cluster):
     table = docs_with_dups(100)
     ds = ray.data.from_arrow(table)
     fast = dd.simhash_candidates(ds, max_hamming=3).to_pandas()
-    dist = dd.simhash_candidates(ds, max_hamming=3, force_distributed=True).to_pandas()
+    with on_cluster():
+        dist = dd.simhash_candidates(ds, max_hamming=3).to_pandas()
     fp = {(a, b, h) for a, b, h in zip(fast["key_a"], fast["key_b"], fast["hamming"])}
     dp = {(a, b, h) for a, b, h in zip(dist["key_a"], dist["key_b"], dist["hamming"])}
     assert fp == dp and len(fp) > 0
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_hamming_hot_block_run_bounded():
+def test_hamming_hot_block_run_bounded(on_cluster):
     """A hot 16-bit block value (20k hashes sharing one quarter — the
     all-black-image shape) must complete in bounded memory/time via
     the chunked kernel and return exactly the planted near pairs."""
@@ -198,9 +292,8 @@ def test_hamming_hot_block_run_bounded():
     )
     ds = ray.data.from_arrow(tbl).repartition(4)
     t0 = time.perf_counter()
-    pairs = hamming_blocked_pairs(
-        ds, hash_col="simhash", max_hamming=3, force_distributed=True
-    ).to_pandas()
+    with on_cluster():
+        pairs = hamming_blocked_pairs(ds, hash_col="simhash", max_hamming=3).to_pandas()
     wall = time.perf_counter() - t0
     got = {(a, b) for a, b in zip(pairs["key_a"], pairs["key_b"])}
     assert {(i, n - 50 + i) for i in range(50)} <= got
@@ -379,8 +472,7 @@ def test_knn_input_without_blocks():
 
 @pytest.mark.usefixtures("ray_session")
 def test_minhash_dedup_pairs_fast_path():
-    """The 3-execution driver path finds the same planted dups as the
-    staged candidates+verify pipeline."""
+    """The driver verify finds every planted dup at Jaccard 1."""
     table = docs_with_dups()
     ds = ray.data.from_arrow(table)
     fast = dd.minhash_dedup_pairs(ds, threshold=0.99).to_pandas()

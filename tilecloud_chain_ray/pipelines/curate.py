@@ -7,7 +7,8 @@ chain a 100-TB pretraining pass runs:
     -> rule filters (quality floor, repetition ceiling)
     -> benchmark decontamination (broadcast eval shingle set)
     -> deterministic hash sampling (resumable, layout-independent)
-    -> exact content dedup (salted-bucket shuffle, min-key survivor)
+    -> exact content dedup (one task exchange on the md5 bucket tag,
+       min-key survivor)
     -> write partitioned Parquet (one directory per stratum — a
        consumption layout, not a resume unit; the checkpointed,
        kill-and-resume variant of this chain is
@@ -87,7 +88,7 @@ def make_analyze_filter(
 
 def make_md5_bucket(text_col: str, n_buckets: int):
     """Batch kernel appending ``content_md5`` (hex) and ``_bucket``
-    (salted shuffle bucket from the digest's first 8 bytes) — one md5
+    (exchange bucket from the digest's first 8 bytes) — one md5
     pass emits both.  Shared by curate_corpus and curate_resumable."""
 
     def add_bucket(batch: pa.Table) -> pa.Table:
@@ -184,8 +185,8 @@ def curate_corpus(
     embedding table's verdicts (stages/semdedup.py, keyed by
     ``embedding_key_col`` = this chain's ``key_col`` values) mark
     semantic duplicates, and the survivors anti-join the drop set
-    through the byte-gated Bloom machinery (stages/bloom.py) — the
-    drop side never broadcasts above the gate.
+    through the Bloom anti-join (stages/bloom.py), whose exact residue
+    check runs on the driver only while it fits ``util.fits_driver``.
     """
 
     if substring_k is not None:
@@ -233,16 +234,16 @@ def curate_corpus(
             batch_format="pyarrow",
         )
 
-    # exact content dedup: one salted-bucket shuffle of the surviving
-    # rows; survivor per md5 = min key (deterministic, layout-free)
+    # exact content dedup: one task exchange of the surviving rows on
+    # their md5 bucket tag; survivor per md5 = min key (deterministic,
+    # layout-free)
     dedup_partition = make_dedup_partition(key_col)
 
     tagged = filtered.map_batches(
         make_md5_bucket(text_col, DEDUP_BUCKETS), batch_format="pyarrow"
     )
-    # round 5: task-exchange instead of sort-groupby (no zero-schema
-    # empty bundles at scale, no per-group UDF calls; the COMMITTED
-    # _bucket tag is unchanged — only the exchange mechanics moved)
+    # a task exchange, not a sort-groupby: no zero-schema empty
+    # bundles at scale and no per-group UDF calls
     survivors = hash_group_blocks(tagged, ["_bucket"], dedup_partition)
 
     if embeddings is not None:

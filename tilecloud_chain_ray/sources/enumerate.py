@@ -11,12 +11,13 @@ Dense enumeration (``/root/reference/tilecloud_chain/__init__.py:
 2117-2161``) is pure per-zoom math -> driver builds the interval list
 directly.  Sparse enumeration (``__init__.py:438-626``) needs a
 geometry walk per row-band -> the (zoom, row-chunk) space is fanned out
-over workers via ``map_batches``; each task clips the broadcast
+over workers via ``map_batches``; each task clips the layer
 geometry to its bands.
 """
 
 from __future__ import annotations
 
+import uuid
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -186,18 +187,15 @@ def dense_coord_dataset(
 
 
 class _BandWalker:
-    """Actor: clips the (broadcast) layer geometry to its row-bands.
+    """Clips the layer geometry to row-bands: each batch of (z, row)
+    band rows produces merged x-interval rows — the distributed version
+    of ``SparseMetaTileBoundingPyramid.metatilecoords``
+    (``__init__.py:604-626``).  Built once per worker process
+    (``util.process_cached``), so the per-zoom buffering runs once."""
 
-    One geometry decode per actor (``__init__`` once), then each batch
-    of (z, row) band rows produces merged x-interval rows — the
-    distributed version of ``SparseMetaTileBoundingPyramid
-    .metatilecoords`` (``__init__.py:604-626``).
-    """
-
-    def __init__(self, layer: Layer, geoms_ref) -> None:
+    def __init__(self, layer: Layer, geoms: Mapping[int, Geometry]) -> None:
         self.layer = layer
-        geoms = ray.get(geoms_ref) if isinstance(geoms_ref, ray.ObjectRef) else geoms_ref
-        self.geoms: Mapping[int, Geometry] = geoms
+        self.geoms = geoms
         # pre-buffer per zoom (px_buffer * resolution map units)
         self.buffered: dict[int, Geometry] = {}
         for z, g in geoms.items():
@@ -230,7 +228,9 @@ def sparse_coord_dataset(
     """Sparse enumeration -> Dataset of metatile coordinate rows.
 
     Driver computes only the per-zoom row ranges (cheap bounds math);
-    the geometry clipping per row-band runs distributed.
+    the geometry clipping per row-band runs distributed, one task per
+    source block.  ``concurrency`` caps the concurrent walk tasks (of
+    a ``(min, max)`` pool size, the max).
     """
     zooms = list(zooms) if zooms is not None else layer.seed_zooms()
     geoms = layer.geoms_per_zoom(cli_bbox=cli_bbox)
@@ -266,12 +266,21 @@ def sparse_coord_dataset(
             "row": pa.array([b[1] for b in band_rows], pa.int64()),
         }
     )
-    geoms_ref = ray.put(geoms)
+    # a plain task map, not an actor pool: Ray Data puts an actor's
+    # constructor arguments in the object store, which breaks its
+    # restart; the geometry rides in the closure and is buffered once
+    # per worker process under a key unique to this call
+    key = ("band_walker", uuid.uuid4().hex)
+
+    def walk(batch: pa.Table) -> pa.Table:
+        from tilecloud_chain_ray.util import process_cached
+
+        return process_cached(key, lambda: _BandWalker(layer, geoms))(batch)
+
     intervals = source_blocks(bands, np.ones(len(band_rows), np.int64)).map_batches(
-        _BandWalker,
-        fn_constructor_kwargs={"layer": layer, "geoms_ref": geoms_ref},
+        walk,
         batch_format="pyarrow",
-        concurrency=concurrency,
+        concurrency=concurrency[1] if isinstance(concurrency, tuple) else concurrency,
         batch_size=None,
     )
     return intervals.map_batches(expand_intervals_batch, batch_format="pyarrow")

@@ -26,6 +26,7 @@ import pyarrow.compute as pc
 import ray
 
 from tilecloud_chain_ray.functions.hashing import mix64 as _mix64
+from tilecloud_chain_ray.util import fits_driver
 
 
 def _bit_positions(keys: np.ndarray, n_bits: int, k: int) -> np.ndarray:
@@ -174,8 +175,6 @@ def bloom_anti_join(
     right_key_col: str | None = None,
     n_keys_hint: int = 1 << 20,
     bits_per_key: int = 13,
-    residue_max_bytes: int = 32 << 20,
-    force_distributed: bool = False,
     n_buckets: int | None = None,
 ) -> ray.data.Dataset:
     """EXACT anti-join (left rows whose key is absent from right_keys)
@@ -184,20 +183,20 @@ def bloom_anti_join(
     The bitmap (bits_per_key/8 bytes per right key) broadcasts once;
     definite non-members stream straight through with no shuffle; only
     flagged rows (members + ~0.1 % FPs) go through an exact check.
-    Two physical residue paths with identical semantics, byte-gated
-    like the dedup stages:
+    Two residue placements with identical semantics, picked by
+    :func:`~tilecloud_chain_ray.util.fits_driver` like the dedup
+    stages:
 
-    * **driver shortcut** — when the flagged key set fits
-      ``residue_max_bytes`` (~16 B/key), the flagged keys are
+    * **driver** — when the flagged key set (~16 B/key) fits, the
+      flagged keys are
       collected, the MATCHING right keys semi-filtered against them
       and broadcast back (measured 800k rows vs 100k keys in ~9 s);
-    * **distributed** — over the gate (corpus-scale match sets), the
+    * **cluster** — otherwise (corpus-scale match sets), the
       flagged rows and the right keys hash-partition on the key
       (``n_buckets`` is the requested exchange width) and each
       partition does a vectorized arrow anti-check
       (``_anti_join_partitioned``): nothing key-shaped touches the
-      driver.  ``force_distributed`` pins this path for equality
-      testing.
+      driver.
     """
     right_key_col = right_key_col or on
     # consumed twice (bitmap build + residue present-check): pin the
@@ -224,7 +223,7 @@ def bloom_anti_join(
         batch_format="pyarrow",
     )
 
-    # byte gate on the flagged-key volume (exact count — probed is
+    # placement by the flagged-key volume (exact count — probed is
     # already materialized, so this is a metadata-cheap second pass)
     n_flagged = sum(
         r["n"]
@@ -235,7 +234,7 @@ def bloom_anti_join(
             batch_format="pyarrow",
         ).take_all()
     )
-    if force_distributed or n_flagged * 16 > residue_max_bytes:
+    if not fits_driver(n_flagged * 16):
         fp_survivors = _anti_join_partitioned(
             flagged_rows, right_keys, on, right_key_col, n_buckets
         )

@@ -12,12 +12,12 @@ closes that step:
 * ``near_dedup_survivors(docs, pairs)`` — drop every doc whose key is
   in a cluster but is not its min-key representative.
 
-Two physical paths with identical semantics (the repo's dedup
-convention — byte-gated driver shortcut + ``force_distributed``):
+Two placements with identical semantics, picked from the input by
+``util.fits_driver`` (the engine's one driver-or-cluster rule; no
+caller option):
 
-* **driver union-find** — when the pair table fits the byte gate
-  (16 B/row), a single vectorized path-compressed union-find on the
-  driver.  Near-dup pair tables are tiny relative to the corpus, so
+* **driver union-find** — when the pair table (16 B/row) fits, a
+  single vectorized path-compressed union-find on the driver.  Near-dup pair tables are tiny relative to the corpus, so
   this is the common case even at large scale.
 * **distributed min-label propagation** — labels start as the node's
   own key and each round take the min over the 1-hop neighborhood
@@ -30,7 +30,7 @@ convention — byte-gated driver shortcut + ``force_distributed``):
 Scale note: everything here is proportional to the PAIR table and its
 node set, never the corpus — the survivor step touches the corpus
 exactly once, with a broadcast (or bucketed anti-join) of the
-non-survivor key set.
+non-survivor key set, placed by the same rule.
 """
 
 from __future__ import annotations
@@ -40,11 +40,7 @@ import pyarrow as pa
 import ray
 from ray.data.aggregate import Sum
 
-from tilecloud_chain_ray.util import (  # noqa: F401  (read_parquet_clean: doc link)
-    default_buckets,
-    exchange_aggregate,
-    read_parquet_clean,
-)
+from tilecloud_chain_ray.util import default_buckets, exchange_aggregate, fits_driver
 
 
 def _union_find_driver(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -79,8 +75,6 @@ def connected_components(
     key_a: str = "key_a",
     key_b: str = "key_b",
     n_buckets: int | None = None,
-    small_table_max_bytes: int = 48 << 20,
-    force_distributed: bool = False,
     max_rounds: int = 64,
 ) -> ray.data.Dataset:
     """Pair list -> (key, component) with component = min reachable key.
@@ -98,7 +92,7 @@ def connected_components(
             pa.table({"key": pa.array([], pa.int64()), "component": pa.array([], pa.int64())})
         )
 
-    if not force_distributed and n_pairs * 16 <= small_table_max_bytes:
+    if fits_driver(n_pairs * 16):
         # drop (0 rows, 0 cols) blocks (empty sort ranges upstream) —
         # concat_tables rejects the zero-column schema otherwise
         tbl = pa.concat_tables([t for t in ray.get(pairs.to_arrow_refs()) if t.num_rows])
@@ -176,8 +170,8 @@ def connected_components(
         )
         # labels only decrease -> sum fixpoint == convergence.  int64
         # sum is exact while n_nodes * max_key < 2^63 (e.g. 2^22 nodes
-        # x 2^40 keys); beyond that pass force_distributed pair tables
-        # through a keyed count-of-changes check instead.
+        # x 2^40 keys); beyond that a keyed count-of-changes check
+        # would be needed instead.
         cur_sum = labels.aggregate(Sum("label", alias_name="s"))["s"]
         if cur_sum == prev_sum:
             break
@@ -192,7 +186,6 @@ def near_dedup_survivors(
     docs: ray.data.Dataset,
     pairs: ray.data.Dataset,
     key_col: str = "doc_id",
-    broadcast_max_bytes: int = 128 << 20,
     **cc_kwargs,
 ) -> ray.data.Dataset:
     """Keep one doc per near-dup cluster (the min key) plus every doc
@@ -200,9 +193,9 @@ def near_dedup_survivors(
 
     The drop set (cluster members that are not their component's min)
     is proportional to the DUPLICATE universe, not the corpus.  While
-    it fits ``broadcast_max_bytes`` it is broadcast once via
-    ``ray.put`` and each batch filters with a sorted searchsorted;
-    beyond the gate it routes through the exact Bloom anti-join
+    it fits :func:`~tilecloud_chain_ray.util.fits_driver` (8 B/key) it
+    is broadcast once via ``ray.put`` and each batch filters with a
+    sorted searchsorted; beyond that it routes through the exact Bloom anti-join
     (stages/bloom.py) — bitmap broadcast + distributed residue, never
     a driver-sized key set.
     """
@@ -217,7 +210,7 @@ def near_dedup_survivors(
     n_drop = drop_ds.count()
     if n_drop == 0:
         return docs
-    if n_drop * 8 > broadcast_max_bytes:
+    if not fits_driver(n_drop * 8):
         from tilecloud_chain_ray.stages.bloom import bloom_anti_join
 
         return bloom_anti_join(

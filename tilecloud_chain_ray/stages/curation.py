@@ -299,9 +299,9 @@ def ngram_jaccard_pairs(
     (a, b, jaccard).
 
     Contract: ``pairs`` is the small side (an upstream candidate
-    generator's output — cf. stages/dedup.verify_jaccard for the
-    corpus-proportional variant, which verifies through bucketed
-    shuffles).  Only rows whose key appears in a pair are pulled
+    generator's output — cf. stages/dedup.minhash_dedup_pairs, whose
+    verify moves to bucketed shuffles when the candidate universe
+    outgrows the driver).  Only rows whose key appears in a pair are pulled
     (vectorized semi-join filter), so driver memory is O(|pairs|).
     """
     needed = sorted({k for p in pairs for k in p})

@@ -4,8 +4,11 @@ embedding-cosine near-dup.
 All shapes follow the scalable patterns: content hash computed
 vectorized inside ``map_batches``; the only shuffles are hash /
 band-bucket task exchanges (util.hash_group_blocks) over *small
-derived columns* (never the payload); candidate verification is
-per-bucket local work inside the exchange kernels.
+derived columns* (never the payload).  MinHash candidate pairs are
+built by one path, task exchanges only (``_expand_hot_bucket_pairs``);
+where an operator can also run on the driver (the MinHash verify, the
+hamming pairs), the size of what the driver would hold picks the
+placement through ``util.fits_driver`` — never a caller's option.
 
 MinHash runs on whole batches, never one document at a time:
 ``shingle_table`` turns a batch of texts into one flat array of word
@@ -28,7 +31,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from tilecloud_chain_ray.util import default_buckets, vecs_from_arrow
+from tilecloud_chain_ray.util import vecs_from_arrow
 
 logger = logging.getLogger(__name__)
 
@@ -310,150 +313,100 @@ class MinHashStage:
         )
 
 
-def minhash_candidates(
-    ds: ray.data.Dataset,
-    key_col: str = "doc_id",
-    text_col: str = "text",
-    num_perm: int = 64,
-    bands: int = 16,
-    concurrency: int | tuple[int, int] = (1, 8),
-) -> ray.data.Dataset:
-    """Candidate near-duplicate pairs: same (band, band_hash) bucket.
+_PAIR_SCHEMA = pa.schema([("key_a", pa.int64()), ("key_b", pa.int64())])
 
-    Returns distinct (key_a < key_b) pairs.  The groupby key is the
-    (band, band_hash) pair — salting is inherent (16 bands spread hot
-    content), buckets are tiny unless texts are truly identical.
-    """
-    del concurrency  # kept for API compat: banding became a task stage
-    from tilecloud_chain_ray.util import process_cached
 
-    params = (key_col, text_col, num_perm, bands)
+def _distinct_pairs(pairs: pa.Table) -> pa.Table:
+    """Each (key_a, key_b) once: one Acero empty-aggregate group_by."""
+    if pairs.num_rows == 0:  # also the exchange's zero-column probe
+        return _PAIR_SCHEMA.empty_table()
+    return pairs.select(["key_a", "key_b"]).group_by(["key_a", "key_b"]).aggregate([])
 
-    def band_fn(batch: pa.Table) -> pa.Table:
-        # task-based with per-process hasher cache: fuses with upstream
-        # stages and reuses warm workers (an actor pool here pays ~0.5s
-        # per actor of serial autoscaling spin-up for trivial state)
-        stage = process_cached(
-            ("minhash", params),
-            lambda: MinHashStage(
-                key_col=key_col, text_col=text_col, num_perm=num_perm, bands=bands
-            ),
+
+def _bucket_run_pairs(batch: pa.Table, max_bucket: int) -> pa.Table:
+    """All candidate pairs of every (band, band_hash) run in ``batch``,
+    in one vectorized pass — the only definition of the MinHash
+    candidate rules:
+
+    * a pair is ``(key_a, key_b)`` with ``key_a < key_b``;
+    * a key repeated inside a run never pairs with itself;
+    * a pair found by several runs of the batch is reported once;
+    * a run of more than ``max_bucket`` rows (repeated keys count
+      once per row) is skipped with a warning: degenerate
+      near-identical content is better handled by exact dedup first.
+
+    Runs are keyed on (band, band_hash), the partition key of the
+    exchange that calls this, so every run is whole in its batch."""
+    n = batch.num_rows
+    if n < 2:  # also the exchange's zero-column probe of an empty input
+        return _PAIR_SCHEMA.empty_table()
+    band = batch["band"].to_numpy(zero_copy_only=False).astype(np.int64)
+    bhash = batch["band_hash"].to_numpy(zero_copy_only=False).astype(np.int64)
+    key = batch["key"].to_numpy(zero_copy_only=False).astype(np.int64)
+    order = np.lexsort((key, bhash, band))
+    band, bhash, key = band[order], bhash[order], key[order]
+    boundary = (band[1:] != band[:-1]) | (bhash[1:] != bhash[:-1])
+    starts = np.flatnonzero(np.r_[True, boundary])
+    lengths = np.diff(np.r_[starts, n])
+    run_of = np.repeat(np.arange(len(starts)), lengths)
+    pos = np.arange(n) - starts[run_of]  # position within the run
+    # keys within a run are sorted, so each row pairs with the `pos`
+    # rows before it in its run
+    npairs = pos.copy()
+    oversized = lengths > max_bucket
+    if oversized.any():
+        logger.warning(
+            "skipping %d LSH bucket(s) larger than max_bucket=%d "
+            "(largest: %d members); their pairs are NOT reported",
+            int(oversized.sum()),
+            max_bucket,
+            int(lengths.max()),
         )
-        return stage(batch)
-
-    banded = ds.map_batches(band_fn, batch_format="pyarrow", batch_size=2048)
-    # banded rows are (int64, int32, int64) only — tiny; materialize so
-    # the signature computation runs once, not once per consumer
-    banded = banded.materialize()
-    return _expand_hot_bucket_pairs(banded, max_bucket=10_000)
+        npairs[oversized[run_of]] = 0
+    total = int(npairs.sum())
+    if total == 0:
+        return _PAIR_SCHEMA.empty_table()
+    right = np.repeat(np.arange(n), npairs)
+    cum = np.concatenate([[0], np.cumsum(npairs)])
+    k = np.arange(total) - cum[right]
+    left = right - pos[right] + k  # run start + k-th earlier member
+    ka, kb = key[left], key[right]
+    real = ka != kb  # a repeated key: no (k, k) self-pair
+    return _distinct_pairs(
+        pa.table({"key_a": pa.array(ka[real], pa.int64()), "key_b": pa.array(kb[real], pa.int64())})
+    )
 
 
 def _expand_hot_bucket_pairs(
     banded: ray.data.Dataset, max_bucket: int = 10_000, n_buckets: int | None = None
 ) -> ray.data.Dataset:
-    """Distinct (key_a < key_b) candidate pairs from a materialized
-    (key, band, band_hash) table — fully distributed.
-
-    ONE task exchange hash-partitioned on (band, band_hash)
-    (util.hash_group_blocks; ``n_buckets`` is the requested width):
-    each partition finds its (band, band_hash) runs vectorized (lexsort
-    + run boundaries) and expands pairs for runs of >= 2 members.  A
-    pre-aggregate "hot bucket" detection pass was measured strictly
-    slower on Ray (its groupby shuffles the same rows without reducing
-    them — 2.7M near-unique keys — and one Ray group per key costs
-    ~1 ms of map_groups overhead).  Buckets above ``max_bucket``
-    members are skipped WITH a warning (their pairs are not reported —
-    degenerate near-identical content better handled by exact dedup
-    first).
-    """
-    if n_buckets is None:
-        n_buckets = default_buckets(per_core=4)
-    empty = pa.table({"key_a": pa.array([], pa.int64()), "key_b": pa.array([], pa.int64())})
-
-    def pairs_bucket(batch: pa.Table) -> pa.Table:
-        """All (key_a < key_b) pairs of every (band, band_hash) run in
-        this partition — one fully vectorized pass (a Python loop over
-        the ~10k runs per bucket was the wall-time hot spot: millions
-        of tiny np.unique calls across buckets).  Runs are keyed on
-        (band, band_hash), the partition key, so every run is whole
-        in its partition."""
-        band = batch["band"].to_numpy(zero_copy_only=False).astype(np.int64)
-        bhash = batch["band_hash"].to_numpy(zero_copy_only=False).astype(np.int64)
-        key = batch["key"].to_numpy(zero_copy_only=False).astype(np.int64)
-        n = len(band)
-        if n < 2:
-            return empty
-        order = np.lexsort((key, bhash, band))
-        band, bhash, key = band[order], bhash[order], key[order]
-        boundary = (band[1:] != band[:-1]) | (bhash[1:] != bhash[:-1])
-        starts = np.flatnonzero(np.r_[True, boundary])
-        lengths = np.diff(np.r_[starts, n])
-        run_of = np.repeat(np.arange(len(starts)), lengths)
-        pos = np.arange(n) - starts[run_of]  # position within the run
-        # rows are unique per (key, band): keys within a run are
-        # distinct and sorted, so each row pairs with the `pos` rows
-        # before it in its run — no per-run dedup needed
-        npairs = pos.copy()
-        oversized = lengths > max_bucket
-        if oversized.any():
-            logger.warning(
-                "skipping %d LSH bucket(s) larger than max_bucket=%d "
-                "(largest: %d members); their pairs are NOT reported",
-                int(oversized.sum()),
-                max_bucket,
-                int(lengths.max()),
-            )
-            npairs[oversized[run_of]] = 0
-        total = int(npairs.sum())
-        if total == 0:
-            return empty
-        right = np.repeat(np.arange(n), npairs)
-        cum = np.concatenate([[0], np.cumsum(npairs)])
-        k = np.arange(total) - cum[right]
-        left = right - pos[right] + k  # run start + k-th earlier member
-        ka, kb = key[left], key[right]
-        # duplicate input keys (same key twice in a run) would emit
-        # (k, k) self-pairs here where the driver path's set() cannot —
-        # drop them so both physical paths keep the key_a < key_b
-        # invariant
-        real = ka != kb
-        if not real.all():
-            ka, kb = ka[real], kb[real]
-        return pa.table(
-            {"key_a": pa.array(ka, pa.int64()), "key_b": pa.array(kb, pa.int64())}
-        )
-
+    """Distinct candidate pairs (:func:`_bucket_run_pairs`) of a
+    (key, band, band_hash) table, fully distributed: one task exchange
+    hash-partitioned on (band, band_hash) expands every run's pairs,
+    and when it yields more than one partition, a second one,
+    partitioned on the pair, drops the pairs found in several
+    (util.hash_group_blocks; ``n_buckets`` is the requested width,
+    default one partition per core).  A pre-aggregate "hot bucket"
+    detection pass was measured strictly slower on Ray (its groupby
+    shuffles the same rows without reducing them — 2.7M near-unique
+    keys — and one Ray group per key costs ~1 ms of map_groups
+    overhead)."""
     from tilecloud_chain_ray.util import hash_group_blocks
 
-    # task exchange, not sort-groupby: no zero-schema empty bundles
-    # from pair-free buckets (see util.hash_group_blocks)
     cand = hash_group_blocks(
-        banded, ["band", "band_hash"], pairs_bucket, num_partitions=n_buckets
+        banded,
+        ["band", "band_hash"],
+        lambda t: _bucket_run_pairs(t, max_bucket),
+        num_partitions=n_buckets,
     )
+    if cand.num_blocks() <= 1:  # one partition held every run
+        return cand
 
     # global pair dedup, partitioned on the pair: a direct two-column
     # sort groupby-aggregate over the raw pairs measured ~60 s where
     # this takes ~2 s — Ray's sort-based groupby pays per distinct key,
     # so dedup vectorized inside each exchange partition instead
-    def dedup_bucket(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return empty  # no pairs anywhere: the schema-less probe
-        # distinct via an empty-aggregate group_by: one Acero C pass
-        return batch.select(["key_a", "key_b"]).group_by(["key_a", "key_b"]).aggregate([])
-
-    return hash_group_blocks(
-        cand, ["key_a", "key_b"], dedup_bucket, num_partitions=n_buckets
-    )
-
-
-def _empty_pairs(with_jaccard: bool = True) -> ray.data.Dataset:
-    cols = {
-        "key_a": pa.array([], pa.int64()),
-        "key_b": pa.array([], pa.int64()),
-    }
-    if with_jaccard:
-        cols["jaccard"] = pa.array([], pa.float64())
-    return ray.data.from_arrow(pa.Table.from_pydict(cols))
+    return hash_group_blocks(cand, ["key_a", "key_b"], _distinct_pairs, num_partitions=n_buckets)
 
 
 def minhash_dedup_pairs(
@@ -464,87 +417,58 @@ def minhash_dedup_pairs(
     num_perm: int = 64,
     bands: int = 16,
     max_bucket: int = 10_000,
-    small_table_max_bytes: int = 48 << 20,
-    force_distributed: bool = False,
 ) -> ray.data.Dataset:
     """End-to-end near-dup pairs: band signatures -> candidate pairs ->
-    exact Jaccard >= ``threshold``; output (key_a < key_b, jaccard).
+    exact shingle Jaccard >= ``threshold``; output (key_a < key_b,
+    jaccard).
 
-    Two physical paths with identical semantics:
+    Candidates always come from :func:`_expand_hot_bucket_pairs` (task
+    exchanges, nothing on the driver).  Verification is placed by
+    the candidate universe, the shingle sets it needs (~4 KiB a
+    document, two a pair — a generous web-text estimate):
 
-    * **driver shortcut** — when the band table fits
-      ``small_table_max_bytes`` (~24 B/row: 3 small ints), one
-      vectorized driver pass does bucket detection + pair expansion,
-      and only the candidate keys' shingle sets are pulled for
-      verification.  Low latency; bounded by the gate in *bytes*.
-    * **distributed** — per-bucket exchange-kernel pair expansion over
-      hot (band, band_hash) buckets and a bucketed join of the pair
-      table against the (key, sig) shingle table
-      (`_verify_pairs_distributed`) — nothing proportional to the
-      duplicate universe ever lands on the driver.
+    * when they fit :func:`~tilecloud_chain_ray.util.fits_driver`, only
+      the candidate keys' rows are pulled to the driver and verified
+      in one vectorized pass (``_needed_shingle_index`` +
+      ``_pair_jaccard``) — measured faster than the cluster path at
+      small inputs;
+    * otherwise a bucketed join of the pair table against the
+      (key, shingle set) table (:func:`_verify_pairs_distributed`):
+      nothing proportional to the duplicate universe lands on the
+      driver.
     """
+    from tilecloud_chain_ray.util import fits_driver
+
     banded = ds.map_batches(
         lambda b: _band_cached(b, key_col, text_col, num_perm, bands),
         batch_format="pyarrow",
         batch_size=2048,
-    ).materialize()
-
-    n_band_rows = banded.count()
-    if not force_distributed and n_band_rows * 24 <= small_table_max_bytes:
-        # small band table: one driver-side vectorized pass replaces the
-        # hot-bucket aggregate + filter executions entirely
-        tbl = pa.concat_tables(list(banded.iter_batches(batch_format="pyarrow")))
-        band_np = tbl["band"].to_numpy(zero_copy_only=False).astype(np.int64)
-        hash_np = tbl["band_hash"].to_numpy(zero_copy_only=False).astype(np.int64)
-        key_np = tbl["key"].to_numpy(zero_copy_only=False)
-        # collision-free bucket boundaries: lexsort on (band, hash) and
-        # break runs when EITHER column changes (a packed composite key
-        # can alias distinct buckets — band_hash spans 63 bits)
-        order = np.lexsort((hash_np, band_np))
-        band_s, hash_s, key_np = band_np[order], hash_np[order], key_np[order]
-        boundary = (band_s[1:] != band_s[:-1]) | (hash_s[1:] != hash_s[:-1])
-        starts = np.flatnonzero(np.r_[True, boundary])
-        ends = np.r_[starts[1:], len(band_s)]
-        pairs = set()
-        skipped = 0
-        for s, e in zip(starts, ends):
-            if e - s < 2:
-                continue
-            members = set(key_np[s:e].tolist())
-            if len(members) > max_bucket:
-                skipped += 1
-                continue
-            ks = sorted(members)
-            for i in range(len(ks)):
-                for j in range(i + 1, len(ks)):
-                    pairs.add((ks[i], ks[j]))
-        if skipped:
-            logger.warning(
-                "minhash_dedup_pairs: skipped %d bucket(s) larger than "
-                "max_bucket=%d — near-duplicate pairs inside them are NOT reported",
-                skipped,
-                max_bucket,
-            )
-        if not pairs:
-            return _empty_pairs()
-        cand = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
-        index = _needed_shingle_index(ds, key_col, text_col, cand)
-        jac = _pair_jaccard(index, cand[:, 0], cand[:, 1])
-        keep = jac >= threshold
-        return ray.data.from_arrow(
-            pa.Table.from_pydict(
-                {
-                    "key_a": pa.array(cand[keep, 0], pa.int64()),
-                    "key_b": pa.array(cand[keep, 1], pa.int64()),
-                    "jaccard": pa.array(jac[keep], pa.float64()),
-                }
-            )
-        )
-
-    # distributed path: per-bucket pair expansion + bucketed sig join
+    )
     cand = _expand_hot_bucket_pairs(banded, max_bucket=max_bucket)
-    sigs = shingle_sig_table(ds, key_col, text_col)
-    return _verify_pairs_distributed(cand, sigs, threshold)
+    n_cand = cand.count()
+    if n_cand == 0:
+        return ray.data.from_arrow(
+            _PAIR_SCHEMA.append(pa.field("jaccard", pa.float64())).empty_table()
+        )
+    if not fits_driver(n_cand * 2 * 4096):
+        sigs = shingle_sig_table(ds, key_col, text_col)
+        return _verify_pairs_distributed(cand, sigs, threshold)
+
+    pairs = pa.concat_tables(ray.get(cand.to_arrow_refs()))
+    ka = pairs["key_a"].to_numpy(zero_copy_only=False)
+    kb = pairs["key_b"].to_numpy(zero_copy_only=False)
+    index = _needed_shingle_index(ds, key_col, text_col, np.concatenate([ka, kb]))
+    jac = _pair_jaccard(index, ka, kb)
+    keep = jac >= threshold
+    return ray.data.from_arrow(
+        pa.table(
+            {
+                "key_a": pa.array(ka[keep], pa.int64()),
+                "key_b": pa.array(kb[keep], pa.int64()),
+                "jaccard": pa.array(jac[keep], pa.float64()),
+            }
+        )
+    )
 
 
 def _band_cached(batch, key_col, text_col, num_perm, bands):
@@ -725,63 +649,6 @@ def _verify_pairs_distributed(
     )
 
 
-def verify_jaccard(
-    candidate_pairs: ray.data.Dataset,
-    ds: ray.data.Dataset,
-    key_col: str = "doc_id",
-    text_col: str = "text",
-    threshold: float = 0.8,
-    shingle_k: int = 3,
-    small_table_max_bytes: int = 64 << 20,
-) -> ray.data.Dataset:
-    """Exact n-gram Jaccard verification of candidate pairs.
-
-    Output schema is (key_a, key_b, jaccard) on BOTH physical paths —
-    extra input columns are dropped so callers can't come to depend on
-    columns that only survive the small-input path.
-
-    When the candidate universe is small (estimated shingle-set bytes
-    under ``small_table_max_bytes``) the shingle sets of only the
-    candidate keys are broadcast via ``ray.put`` and verification is an
-    embarrassingly parallel map over pairs.  Otherwise the verification
-    runs fully distributed (`_verify_pairs_distributed`): a bucketed
-    join of the pair table against the (key, sig) table — no driver
-    materialization proportional to duplication.
-    """
-    # pairs are consumed twice (size probe + verify) — pin the tiny
-    # result instead of re-executing the whole LSH chain
-    candidate_pairs = candidate_pairs.materialize()
-    n_pairs = candidate_pairs.count()
-    # ~2 keys/pair x (set overhead + ~n shingles x 8B); 4 KiB/doc is a
-    # generous web-text estimate — the gate is bytes, not rows
-    est_bytes = n_pairs * 2 * 4096
-    if est_bytes > small_table_max_bytes:
-        sigs = shingle_sig_table(ds, key_col, text_col, shingle_k)
-        return _verify_pairs_distributed(candidate_pairs, sigs, threshold)
-
-    keys = [
-        b[c].to_numpy(zero_copy_only=False)
-        for b in candidate_pairs.iter_batches(batch_format="pyarrow")
-        for c in ("key_a", "key_b")
-    ]
-    if not sum(map(len, keys)):
-        return _empty_pairs(with_jaccard=True)
-    ref = ray.put(_needed_shingle_index(ds, key_col, text_col, np.concatenate(keys), shingle_k))
-
-    def verify(batch: pa.Table) -> pa.Table:
-        jac = _pair_jaccard(
-            ray.get(ref),
-            batch["key_a"].to_numpy(zero_copy_only=False),
-            batch["key_b"].to_numpy(zero_copy_only=False),
-        )
-        out = batch.select(["key_a", "key_b"]).append_column(
-            "jaccard", pa.array(jac, pa.float64())
-        )
-        return out.filter(pc.greater_equal(out["jaccard"], threshold))
-
-    return candidate_pairs.map_batches(verify, batch_format="pyarrow")
-
-
 # ---------------------------------------------------------------------------
 # SimHash
 # ---------------------------------------------------------------------------
@@ -854,8 +721,8 @@ def _block_run_pairs(
     """Candidate pairs within equal-``bv`` runs: sort by the packed
     (block<<16 | value) id, then all-pairs hamming inside each run.
     Duplicate keys inside a run are collapsed to their first occurrence
-    (no self-pairs).  Shared by the driver shortcut and the distributed
-    bucket pass so the two physical paths cannot diverge."""
+    (no self-pairs).  Shared by the driver and cluster placements of
+    ``hamming_blocked_pairs`` so the two cannot diverge."""
     order = np.argsort(bv, kind="stable")
     sbv, sk, sh = bv[order], ks[order], hs[order]
     starts = np.flatnonzero(np.r_[True, sbv[1:] != sbv[:-1]])
@@ -905,34 +772,45 @@ def _fan_block_ids(ks: np.ndarray, hs: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return bvs, np.tile(ks, 4), np.tile(hs, 4)
 
 
+def _min_hamming(batch: pa.Table) -> pa.Table:
+    """Distinct (key_a, key_b) pairs, each with its least hamming
+    distance over the blockings that found it: one Acero pass."""
+    if batch.num_rows == 0:  # no pairs anywhere: the schema-less probe
+        return pa.table({c: pa.array([], pa.int64()) for c in ("key_a", "key_b", "hamming")})
+    t = (
+        batch.select(["key_a", "key_b", "hamming"])
+        .group_by(["key_a", "key_b"])
+        .aggregate([("hamming", "min")])
+    )
+    return t.rename_columns(["key_a", "key_b", "hamming"])
+
+
+def _pair_table(a: np.ndarray, b: np.ndarray, h: np.ndarray) -> pa.Table:
+    return pa.table(
+        {
+            "key_a": pa.array(a, pa.int64()),
+            "key_b": pa.array(b, pa.int64()),
+            "hamming": pa.array(h.astype(np.int64), pa.int64()),
+        }
+    )
+
+
 def simhash_candidates(
     ds: ray.data.Dataset,
     key_col: str = "doc_id",
     text_col: str = "text",
     max_hamming: int = 3,
-    small_table_max_bytes: int = 96 << 20,
-    force_distributed: bool = False,
     n_buckets: int | None = None,
 ) -> ray.data.Dataset:
     """Near-dup pairs with hamming(simhash) <= max_hamming, blocked on
-    any equal 16-bit quarter (exact for max_hamming <= 3 by pigeonhole).
-
-    Both physical paths run ONE pass over the hash table: the 4
-    blockings are packed into a single (block, value) id per fanned
-    row, so the distributed path is a single salted groupby (formerly
-    4x(hot-count groupby + take_all + filter + groupby))."""
+    any equal 16-bit quarter (exact for max_hamming <= 3 by pigeonhole),
+    through :func:`hamming_blocked_pairs`."""
     hashed = ds.map_batches(
         lambda b: simhash_batch(b, text_col).select([key_col, "simhash"]),
         batch_format="pyarrow",
     )
     return hamming_blocked_pairs(
-        hashed,
-        key_col=key_col,
-        hash_col="simhash",
-        max_hamming=max_hamming,
-        small_table_max_bytes=small_table_max_bytes,
-        force_distributed=force_distributed,
-        n_buckets=n_buckets,
+        hashed, key_col=key_col, hash_col="simhash", max_hamming=max_hamming, n_buckets=n_buckets
     )
 
 
@@ -941,8 +819,6 @@ def hamming_blocked_pairs(
     key_col: str = "doc_id",
     hash_col: str = "simhash",
     max_hamming: int = 3,
-    small_table_max_bytes: int = 96 << 20,
-    force_distributed: bool = False,
     n_buckets: int | None = None,
 ) -> ray.data.Dataset:
     """Pairs with hamming(hash) <= max_hamming over ANY 64-bit hash
@@ -950,39 +826,29 @@ def hamming_blocked_pairs(
     16-bit quarters — exact for max_hamming <= 3 by pigeonhole; for
     4..7 the quarter blocking is a high-recall heuristic.  Shared by
     simhash_candidates (text), stages/image_dedup (pHash/dHash) and
-    stages/audio_dedup (spectral fingerprints)."""
-    if n_buckets is None:
-        n_buckets = default_buckets(per_core=4)
+    stages/audio_dedup (spectral fingerprints).
+
+    ONE pass over the hash table: the 4 blockings are packed into a
+    single (block, value) id per fanned row.  Two placements with the
+    same kernels (``_block_run_pairs`` then ``_min_hamming``), picked
+    by :func:`~tilecloud_chain_ray.util.fits_driver` on the table's
+    ~16 B/row (key + hash): one driver pass over all 4 blockings, or
+    a task exchange on the block id followed by one on the pair
+    (``n_buckets`` is the requested width).  Pair order is not
+    defined."""
+    from tilecloud_chain_ray.util import fits_driver, hash_group_blocks
 
     hashed = hashed.materialize()  # reused by the count gate + pair pass
-
-    # ~16 B/row: key + simhash — gate in bytes, not rows
-    if not force_distributed and hashed.count() * 16 <= small_table_max_bytes:
-        # small hash table: one driver-side pass over all 4 blockings
-        # (same shape as the minhash shortcut)
+    if fits_driver(hashed.count() * 16):
         tbl = pa.concat_tables(list(hashed.iter_batches(batch_format="pyarrow")))
         ks_all = tbl[key_col].to_numpy(zero_copy_only=False)
         hs_all = tbl[hash_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-        a, b, h = _block_run_pairs(*_fan_block_ids(ks_all, hs_all), max_hamming)
-        df = (
-            pd.DataFrame({"key_a": a, "key_b": b, "hamming": h})
-            .groupby(["key_a", "key_b"], as_index=False)["hamming"]
-            .min()
-            .sort_values(["key_a", "key_b"])
-        )
-        return ray.data.from_arrow(
-            pa.Table.from_pydict(
-                {
-                    "key_a": pa.array(df["key_a"].to_numpy(), pa.int64()),
-                    "key_b": pa.array(df["key_b"].to_numpy(), pa.int64()),
-                    "hamming": pa.array(df["hamming"].to_numpy(), pa.int64()),
-                }
-            )
-        )
+        pairs = _pair_table(*_block_run_pairs(*_fan_block_ids(ks_all, hs_all), max_hamming))
+        return ray.data.from_arrow(_min_hamming(pairs))
 
-    # distributed single pass: fan each row to its 4 packed block ids,
-    # partition on the id (one task per partition — never one group
-    # per id), detect equal-id runs vectorized inside each partition
+    # cluster: fan each row to its 4 packed block ids, partition on
+    # the id (one task per partition — never one group per id), detect
+    # equal-id runs vectorized inside each partition
     def fan(batch: pa.Table) -> pa.Table:
         ks = batch[key_col].to_numpy(zero_copy_only=False)
         hs = batch[hash_col].to_numpy(zero_copy_only=False).astype(np.uint64)
@@ -997,21 +863,14 @@ def hamming_blocked_pairs(
 
     def bucket_pairs(batch: pa.Table) -> pa.Table:
         # runs are keyed on bv, the partition key: every run is whole
-        a, b, h = _block_run_pairs(
-            batch["bv"].to_numpy(zero_copy_only=False),
-            batch["k"].to_numpy(zero_copy_only=False),
-            batch["h"].to_numpy(zero_copy_only=False).astype(np.uint64),
-            max_hamming,
+        return _pair_table(
+            *_block_run_pairs(
+                batch["bv"].to_numpy(zero_copy_only=False),
+                batch["k"].to_numpy(zero_copy_only=False),
+                batch["h"].to_numpy(zero_copy_only=False).astype(np.uint64),
+                max_hamming,
+            )
         )
-        return pa.table(
-            {
-                "key_a": pa.array(a, pa.int64()),
-                "key_b": pa.array(b, pa.int64()),
-                "hamming": pa.array(h.astype(np.int64), pa.int64()),
-            }
-        )
-
-    from tilecloud_chain_ray.util import hash_group_blocks
 
     allp = hash_group_blocks(
         hashed.map_batches(fan, batch_format="pyarrow"),
@@ -1019,22 +878,9 @@ def hamming_blocked_pairs(
         bucket_pairs,
         num_partitions=n_buckets,
     )
-
-    # pair dedup (min hamming per pair), partitioned on the pair at the
-    # default width: Ray's two-column sort groupby pays per distinct
-    # key, so reduce vectorized inside each partition (same lesson as
-    # the minhash path)
-    def min_ham_bucket(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:  # no pairs anywhere: the schema-less probe
-            return pa.table({c: pa.array([], pa.int64()) for c in ("key_a", "key_b", "hamming")})
-        t = (
-            batch.select(["key_a", "key_b", "hamming"])
-            .group_by(["key_a", "key_b"])
-            .aggregate([("hamming", "min")])
-        )
-        return t.rename_columns(["key_a", "key_b", "hamming"])
-
-    return hash_group_blocks(allp, ["key_a", "key_b"], min_ham_bucket)
+    # pair dedup partitioned on the pair: Ray's two-column sort groupby
+    # pays per distinct key, so reduce vectorized inside each partition
+    return hash_group_blocks(allp, ["key_a", "key_b"], _min_hamming)
 
 
 # ---------------------------------------------------------------------------

@@ -178,8 +178,6 @@ def image_near_dup_pairs(
     max_hamming: int = 3,
     batch_size: int = 64,
     concurrency: int | tuple[int, int] = (1, 8),
-    small_table_max_bytes: int = 96 << 20,
-    force_distributed: bool = False,
     n_buckets: int | None = None,
 ) -> ray.data.Dataset:
     """(key_a < key_b, hamming) pairs of perceptually-near-duplicate
@@ -200,7 +198,5 @@ def image_near_dup_pairs(
         key_col=key_col,
         hash_col="imghash",
         max_hamming=max_hamming,
-        small_table_max_bytes=small_table_max_bytes,
-        force_distributed=force_distributed,
         n_buckets=n_buckets,
     )

@@ -30,20 +30,20 @@ def process_cached(key: Any, factory: Callable[[], Any]) -> Any:
     return obj
 
 
-def default_buckets(per_core: float = 1.0) -> int:
+def default_buckets() -> int:
     """Cluster-proportional width for bucketed shuffles (join / bloom /
-    dedup / density / sessionize): ``per_core`` buckets per cluster
-    core, at least one.
+    dedup / density / sessionize): one bucket per cluster core, at
+    least one.
 
     The bucketed-groupby pattern pays a fixed scheduling cost per
     bucket and parallelizes at bucket granularity, so the right width
     tracks total cores, not a constant: the density ledger measured
     256 fixed buckets = 1.5-2.2 s vs 32 = 0.7-0.95 s on a 341-tile
     output at 32 cpus, while a 256-node cluster wants thousands.  There
-    is no fixed floor: a partition per core is all the parallelism a
-    small cluster can use, and every extra partition is one more merge
-    task and ``blocks`` more driver refs (on 1 CPU a 1k-row aggregate
-    took 0.021 s at width 1 and 0.183 s at width 32).
+    is no fixed floor and no multiplier: a partition per core is all
+    the parallelism a small cluster can use, and every extra partition
+    is one more merge task and ``blocks`` more driver refs (on 1 CPU a
+    1k-row aggregate took 0.021 s at width 1 and 0.183 s at width 32).
 
     The count is whatever the cluster reports when this is called: 0
     (a head started with ``num_cpus=0``, workers not yet joined) gives
@@ -59,7 +59,23 @@ def default_buckets(per_core: float = 1.0) -> int:
         cpus = int(ray.cluster_resources().get("CPU", 1))
     except ray.exceptions.RaySystemError:  # no cluster yet: size to this host
         cpus = os.cpu_count() or 1
-    return max(1, int(cpus * per_core))
+    return max(1, cpus)
+
+
+# The one driver-or-cluster placement rule.  Every operator with a
+# driver shortcut (MinHash verify, hamming pairs, connected components,
+# the near-dedup drop set, the Bloom residue) takes it when the bytes
+# the driver would hold fit this constant, and runs on the cluster
+# otherwise.  No caller picks the path; tests pin the cluster path by
+# setting it to 0.
+DRIVER_MAX_BYTES = 48 << 20
+
+
+def fits_driver(nbytes: int) -> bool:
+    """Whether an operator's driver-side working set of ``nbytes``
+    (its own estimate of what it would pull to the driver) is small
+    enough to run there: ``nbytes <= DRIVER_MAX_BYTES``."""
+    return nbytes <= DRIVER_MAX_BYTES
 
 
 def exchange_width(in_bytes: int, num_partitions: int | None = None) -> int:
