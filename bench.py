@@ -267,11 +267,7 @@ def scaling_workload(num_cpus: int) -> dict:
         t1 = time.perf_counter()
         layer = Layer(name="page_density", grid=WEBMERC, meta=False)
         result = density_pyramid(
-            geo_cells,
-            layer,
-            zooms=[0, 1, 2, 3, 4, 5, 6],
-            with_summary=False,
-            n_buckets=2 * num_cpus,  # salt sized to the cluster, as a real job would
+            geo_cells, layer, zooms=[0, 1, 2, 3, 4, 5, 6], with_summary=False
         )
         n_tiles = result.tiles.count()
         t_tiles = time.perf_counter() - t1

@@ -39,3 +39,24 @@ def on_cluster():
             yield
 
     return pinned
+
+
+@pytest.fixture(scope="session")
+def at_width():
+    """``with at_width(w):`` runs every task exchange at width ``w``
+    (an input whose bytes call for more still widens it, as in
+    ``util.exchange_width``), by making ``util.default_buckets`` return
+    ``w`` — the one function every exchange width is read through; no
+    operator takes a width.  Stateless, so session-scoped: hypothesis
+    tests can use it too."""
+    import contextlib
+
+    import tilecloud_chain_ray.util as util
+
+    @contextlib.contextmanager
+    def pinned(width: int):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(util, "default_buckets", lambda: width)
+            yield
+
+    return pinned

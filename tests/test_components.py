@@ -43,7 +43,7 @@ def random_pairs(rng, n_nodes: int, n_edges: int) -> pd.DataFrame:
 
 @pytest.mark.usefixtures("ray_session")
 @pytest.mark.parametrize("cluster", [False, True])
-def test_connected_components_vs_sql_closure(cluster, on_cluster):
+def test_connected_components_vs_sql_closure(cluster, on_cluster, at_width):
     import contextlib
 
     import ray
@@ -52,12 +52,9 @@ def test_connected_components_vs_sql_closure(cluster, on_cluster):
 
     rng = np.random.default_rng(17)
     df = random_pairs(rng, n_nodes=200, n_edges=300)
-    with on_cluster() if cluster else contextlib.nullcontext():
+    with at_width(8), on_cluster() if cluster else contextlib.nullcontext():
         got = (
-            connected_components(
-                ray.data.from_arrow(pa.Table.from_pandas(df, preserve_index=False)),
-                n_buckets=8,
-            )
+            connected_components(ray.data.from_arrow(pa.Table.from_pandas(df, preserve_index=False)))
             .to_pandas()
             .sort_values("key")
             .reset_index(drop=True)
@@ -67,7 +64,7 @@ def test_connected_components_vs_sql_closure(cluster, on_cluster):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_connected_components_chain_diameter(on_cluster):
+def test_connected_components_chain_diameter(on_cluster, at_width):
     """A long path graph exercises multi-round label propagation (the
     min label must travel the full diameter)."""
     import ray
@@ -76,10 +73,9 @@ def test_connected_components_chain_diameter(on_cluster):
 
     keys = np.arange(50, dtype=np.int64)[::-1] + 100  # 149..100 chained
     df = pd.DataFrame({"key_a": keys[:-1], "key_b": keys[1:]})
-    with on_cluster():
+    with at_width(4), on_cluster():
         got = connected_components(
-            ray.data.from_arrow(pa.Table.from_pandas(df, preserve_index=False)),
-            n_buckets=4,
+            ray.data.from_arrow(pa.Table.from_pandas(df, preserve_index=False))
         ).to_pandas()
     assert (got["component"] == 100).all()
     assert len(got) == 50
@@ -186,7 +182,7 @@ def test_near_dedup_survivors_no_pairs():
 
 @pytest.mark.usefixtures("ray_session")
 @pytest.mark.parametrize("cluster", [False, True])
-def test_connected_components_self_and_duplicate_pairs(cluster, on_cluster):
+def test_connected_components_self_and_duplicate_pairs(cluster, on_cluster, at_width):
     """Self-pairs and repeated pairs neither crash nor change components."""
     import contextlib
 
@@ -200,12 +196,9 @@ def test_connected_components_self_and_duplicate_pairs(cluster, on_cluster):
             "key_b": [5, 7, 7, 7, 11],
         }
     )
-    with on_cluster() if cluster else contextlib.nullcontext():
+    with at_width(4), on_cluster() if cluster else contextlib.nullcontext():
         got = (
-            connected_components(
-                ray.data.from_arrow(pa.Table.from_pandas(df, preserve_index=False)),
-                n_buckets=4,
-            )
+            connected_components(ray.data.from_arrow(pa.Table.from_pandas(df, preserve_index=False)))
             .to_pandas()
             .sort_values("key")
             .reset_index(drop=True)

@@ -328,7 +328,7 @@ def test_dedup_partition_matches_pandas_reference(picks, seed):
             "text": [f"text {p}" for p in picks],
         }
     )
-    tagged = make_md5_bucket("text", 16)(t)
+    tagged = make_md5_bucket("text")(t)
     got = make_dedup_partition("doc_id")(tagged)
     assert got.to_pydict() == _pandas_dedup_reference(tagged, "doc_id").to_pydict()
     assert got.schema.names == ["doc_id", "lang", "quality", "text"]

@@ -29,22 +29,18 @@ def _table(n=1000, seed=7):
     )
 
 
-def test_exchange_aggregate_matches_pandas(ray_session):
+def test_exchange_aggregate_matches_pandas(ray_session, at_width):
     t = _table()
     ds = ray.data.from_arrow(t).repartition(7)
     for width in (1, 3, 16):
-        out = (
-            exchange_aggregate(
+        with at_width(width):
+            agg = exchange_aggregate(
                 ds,
                 ["g", "s"],
                 [("v", "sum"), ("v", "min"), ("v", "count")],
                 ["g", "s", "v_sum", "v_min", "v_count"],
-                num_partitions=width,
-            )
-            .to_pandas()
-            .sort_values(["g", "s"])
-            .reset_index(drop=True)
-        )
+            ).to_pandas()
+        out = agg.sort_values(["g", "s"]).reset_index(drop=True)
         exp = (
             t.to_pandas()
             .groupby(["g", "s"], as_index=False)
@@ -87,7 +83,7 @@ def test_hash_group_blocks_empty_input(ray_session):
     assert out.schema().names == ["g", "n"]
 
 
-def test_null_int_keys_hash_consistently(ray_session):
+def test_null_int_keys_hash_consistently(ray_session, at_width):
     # one block carries nulls, another doesn't: the same non-null key
     # must land in ONE partition regardless (a per-block dtype branch
     # would split it), and nulls group together as their own key
@@ -103,8 +99,9 @@ def test_null_int_keys_hash_consistently(ray_session):
     out = hash_group_blocks(ds, ["g"], kernel, num_partitions=8).to_pandas()
     assert len(out) == 7
     assert (out.groupby("g", dropna=False)["part"].nunique() == 1).all()
-    agg = exchange_aggregate(ds, ["g"], [("v", "sum")], ["g", "v_sum"], num_partitions=8)
-    got = agg.to_pandas().sort_values("g").reset_index(drop=True)
+    with at_width(8):
+        agg = exchange_aggregate(ds, ["g"], [("v", "sum")], ["g", "v_sum"]).to_pandas()
+    got = agg.sort_values("g").reset_index(drop=True)
     exp = (
         pa.concat_tables([t1, t2])
         .to_pandas()
@@ -135,7 +132,7 @@ from hypothesis import strategies as st
     blocks=st.integers(1, 4),
 )
 @settings(max_examples=25, deadline=None)
-def test_exchange_aggregate_property(ray_session, rows, width, blocks):
+def test_exchange_aggregate_property(ray_session, at_width, rows, width, blocks):
     t = pa.table(
         {
             "gi": pa.array([r[0] for r in rows], pa.int64()),
@@ -144,10 +141,10 @@ def test_exchange_aggregate_property(ray_session, rows, width, blocks):
         }
     )
     ds = ray.data.from_arrow(t).repartition(blocks)
-    out = exchange_aggregate(
-        ds, ["gi", "gs"], [("v", "sum"), ("v", "min")], ["gi", "gs", "v_sum", "v_min"],
-        num_partitions=width,
-    ).to_pandas()
+    with at_width(width):
+        out = exchange_aggregate(
+            ds, ["gi", "gs"], [("v", "sum"), ("v", "min")], ["gi", "gs", "v_sum", "v_min"]
+        ).to_pandas()
     if not rows:
         # Ray loses the schema of a fully-empty execution (zero-column
         # blocks), so the documented degraded result is 0 rows — the
@@ -171,11 +168,11 @@ def test_exchange_aggregate_property(ray_session, rows, width, blocks):
         min_size=1,
         max_size=80,
     ),
-    n_buckets=st.sampled_from([1, 3, 8]),
+    width=st.sampled_from([1, 3, 8]),
     blocks=st.integers(1, 4),
 )
 @settings(max_examples=20, deadline=None)
-def test_grouped_distinct_counts_property(ray_session, rows, n_buckets, blocks):
+def test_grouped_distinct_counts_property(ray_session, at_width, rows, width, blocks):
     from tilecloud_chain_ray.stages.distinct import grouped_distinct_counts
 
     g = np.array([r[0] for r in rows], dtype=np.int64)
@@ -183,12 +180,9 @@ def test_grouped_distinct_counts_property(ray_session, rows, n_buckets, blocks):
     ds = ray.data.from_arrow(
         pa.table({"grp": pa.array(g), "key": pa.array(k)})
     ).repartition(blocks)
-    out = (
-        grouped_distinct_counts(ds, "grp", "key", n_buckets=n_buckets)
-        .to_pandas()
-        .sort_values("grp")
-        .reset_index(drop=True)
-    )
+    with at_width(width):
+        out = grouped_distinct_counts(ds, "grp", "key").to_pandas()
+    out = out.sort_values("grp").reset_index(drop=True)
     exp = (
         pd.DataFrame({"grp": g, "key": k})
         .groupby("grp")
@@ -198,13 +192,12 @@ def test_grouped_distinct_counts_property(ray_session, rows, n_buckets, blocks):
     pd.testing.assert_frame_equal(out, exp, check_dtype=False)
 
 
-def test_hash_group_blocks_width_exceeds_keys(ray_session):
+def test_hash_group_blocks_width_exceeds_keys(ray_session, at_width):
     # 2 distinct keys through 16 partitions: 14+ merges see zero rows
     # and must not emit blocks (nor zero-schema bundles)
     t = pa.table({"g": pa.array([1, 2] * 50), "v": pa.array(range(100))})
     ds = ray.data.from_arrow(t).repartition(4)
-    out = exchange_aggregate(
-        ds, ["g"], [("v", "sum")], ["g", "v_sum"], num_partitions=16
-    ).to_pandas()
+    with at_width(16):
+        out = exchange_aggregate(ds, ["g"], [("v", "sum")], ["g", "v_sum"]).to_pandas()
     assert sorted(out["g"]) == [1, 2]
     assert out["v_sum"].sum() == sum(range(100))

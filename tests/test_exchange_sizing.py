@@ -55,7 +55,7 @@ def _collect(ds: ray.data.Dataset) -> pa.Table:
     blocks=st.integers(1, 3),
 )
 @settings(max_examples=6, deadline=None)
-def test_exchange_aggregate_same_at_any_width(ray_session, rows, blocks):
+def test_exchange_aggregate_same_at_any_width(ray_session, at_width, rows, blocks):
     t = pa.table(
         {
             "g": pa.array([r[0] for r in rows], pa.int64()),
@@ -63,20 +63,19 @@ def test_exchange_aggregate_same_at_any_width(ray_session, rows, blocks):
         }
     )
     ds = ray.data.from_arrow(t).repartition(blocks)
-    outs = [
-        _sorted_rows(
-            _collect(
+
+    def at(w):
+        with at_width(w):
+            return _collect(
                 exchange_aggregate(
                     ds,
                     ["g"],
                     [("v", "sum"), ("v", "max"), ([], "count_all")],
                     ["g", "v_sum", "v_max", "n"],
-                    num_partitions=w,
                 )
             )
-        )
-        for w in WIDTHS
-    ]
+
+    outs = [_sorted_rows(at(w)) for w in WIDTHS]
     assert outs[0] == outs[1] == outs[2]
     assert len(outs[0]) == len({r[0] for r in rows})
 
@@ -94,7 +93,7 @@ def test_curate_dedup_partition_same_at_any_width(ray_session, picks, blocks):
     tagged = (
         ray.data.from_arrow(t)
         .repartition(blocks)
-        .map_batches(make_md5_bucket("text", 256), batch_format="pyarrow")
+        .map_batches(make_md5_bucket("text"), batch_format="pyarrow")
     )
     outs = [
         _sorted_rows(
@@ -124,7 +123,7 @@ def test_curate_dedup_partition_same_at_any_width(ray_session, picks, blocks):
     ),
 )
 @settings(max_examples=6, deadline=None)
-def test_expand_hot_bucket_pairs_same_at_any_width(ray_session, rows):
+def test_expand_hot_bucket_pairs_same_at_any_width(ray_session, at_width, rows):
     from tilecloud_chain_ray.stages.dedup import _expand_hot_bucket_pairs
 
     banded = ray.data.from_arrow(
@@ -136,10 +135,12 @@ def test_expand_hot_bucket_pairs_same_at_any_width(ray_session, rows):
             }
         )
     ).materialize()
-    outs = [
-        _sorted_rows(_collect(_expand_hot_bucket_pairs(banded, n_buckets=w)), ["key_a", "key_b"])
-        for w in WIDTHS
-    ]
+
+    def at(w):
+        with at_width(w):
+            return _collect(_expand_hot_bucket_pairs(banded))
+
+    outs = [_sorted_rows(at(w), ["key_a", "key_b"]) for w in WIDTHS]
     assert outs[0] == outs[1] == outs[2]
     exp = {
         (a[0], b[0])
@@ -152,7 +153,7 @@ def test_expand_hot_bucket_pairs_same_at_any_width(ray_session, rows):
 
 @given(doc_ids=st.lists(st.integers(0, 50_000), min_size=1, max_size=200, unique=True))
 @settings(max_examples=3, deadline=None)
-def test_density_pyramid_same_at_any_width(ray_session, doc_ids):
+def test_density_pyramid_same_at_any_width(ray_session, at_width, doc_ids):
     from tilecloud_chain_ray.config import Layer
     from tilecloud_chain_ray.grid import WEBMERC
     from tilecloud_chain_ray.pipelines.density import density_pyramid
@@ -164,8 +165,9 @@ def test_density_pyramid_same_at_any_width(ray_session, doc_ids):
     lay = Layer(name="width_density", grid=WEBMERC, meta=False)
 
     def tiles(w):
-        res = density_pyramid(docs, lay, zooms=[0, 1, 2], with_summary=False, n_buckets=w)
-        t = _collect(res.tiles)
+        with at_width(w):
+            res = density_pyramid(docs, lay, zooms=[0, 1, 2], with_summary=False)
+            t = _collect(res.tiles)
         return sorted(
             (r["z"], r["x"], r["y"], r["status"], hashlib.sha1(r["data"] or b"").hexdigest())
             for r in t.select(["z", "x", "y", "status", "data"]).to_pylist()
@@ -189,7 +191,7 @@ def _wide_input(n_rows=4000, n_blocks=4) -> ray.data.Dataset:
     return ray.data.from_arrow(t).repartition(n_blocks).materialize()
 
 
-def test_width_grows_with_input_bytes(ray_session):
+def test_width_grows_with_input_bytes(ray_session, at_width):
     ds = _wide_input()
     in_bytes = sum(m.size_bytes for b in ds.iter_internal_ref_bundles() for _, m in b.blocks)
     assert in_bytes > 3 << 20  # a multi-MiB input
@@ -199,7 +201,8 @@ def test_width_grows_with_input_bytes(ray_session):
 
     aggs = [("v", "sum"), ([], "count_all")]
     names = ["g", "v_sum", "n"]
-    at_width_1 = _sorted_rows(_collect(exchange_aggregate(ds, ["g"], aggs, names, num_partitions=1)))
+    with at_width(1):
+        at_width_1 = _sorted_rows(_collect(exchange_aggregate(ds, ["g"], aggs, names)))
 
     ctx = ray.data.DataContext.get_current()
     old_target = ctx.target_max_block_size

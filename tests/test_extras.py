@@ -404,8 +404,8 @@ def test_bloom_anti_join_exact_under_false_positives():
 
 @pytest.mark.usefixtures("ray_session")
 def test_asof_join_high_cardinality_bucketed():
-    """asof_join must scale with n_buckets, not distinct keys: 100k
-    distinct keys / 200k rows through the bucketed path, equal to a
+    """asof_join must scale with the exchange width, not distinct keys:
+    100k distinct keys / 200k rows through the partitioned path, equal to a
     single-process pandas merge_asof(by=key) reference, inside a loose
     wall-time bound (the old per-key groupby took minutes here)."""
     import time
@@ -545,19 +545,31 @@ def test_bloom_anti_join_distributed_residue_equals_driver(on_cluster):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_bloom_build_tree_reduce_equals_driver_merge():
-    """The groupby tree-reduced bitmap build must produce bit-identical
-    output to the driver OR-merge."""
+def test_bloom_build_tree_reduce_equals_driver_merge(on_cluster, monkeypatch):
+    """The task-tree-reduced bitmap build (the cluster placement) must
+    produce bit-identical output to the driver OR-merge."""
     import numpy as np
     import pyarrow as pa
     import ray
 
+    from tilecloud_chain_ray import util
     from tilecloud_chain_ray.stages.bloom import build_bloom
 
+    tree_keys = []
+    orig = util.hash_group_blocks
+
+    def spy(ds, keys, kernel, num_partitions=None):
+        tree_keys.append(keys)
+        return orig(ds, keys, kernel, num_partitions)
+
+    monkeypatch.setattr(util, "hash_group_blocks", spy)
     keys = np.arange(0, 100_000, 3, dtype=np.int64)
     ds = ray.data.from_arrow(pa.Table.from_pydict({"k": pa.array(keys)})).repartition(10)
-    bm_driver, nb1, k1 = build_bloom(ds, "k", len(keys), tree_reduce_min_bytes=1 << 40)
-    bm_tree, nb2, k2 = build_bloom(ds, "k", len(keys), tree_reduce_min_bytes=0)
+    bm_driver, nb1, k1 = build_bloom(ds, "k", len(keys))
+    assert tree_keys == []  # ten partials of 53 KiB: the driver ORs them
+    with on_cluster():
+        bm_tree, nb2, k2 = build_bloom(ds, "k", len(keys))
+    assert tree_keys == [["slot"]]
     assert (nb1, k1) == (nb2, k2)
     assert np.array_equal(bm_driver, bm_tree)
 

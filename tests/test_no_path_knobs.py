@@ -1,8 +1,11 @@
-"""No public signature may pick an operator's driver-or-cluster path.
+"""No public signature may pick an operator's driver-or-cluster path
+or its exchange width.
 
 The placement is the engine's decision, made from the input by
-``util.fits_driver``; these parameter names are the per-operator
-switches and byte gates it replaced, so a new one fails here.
+``util.fits_driver``, and so is the width, made by
+``util.exchange_width``; these parameter names are the per-operator
+switches, byte gates and widths they replaced, so a new one fails
+here.  A bare ``**kwargs`` fails too: it would forward any of them.
 """
 
 from __future__ import annotations
@@ -20,6 +23,13 @@ PATH_KNOBS = {
     "residue_max_bytes",
     "broadcast_max_bytes",
 }
+WIDTH_KNOBS = {
+    "n_buckets",
+    "num_partitions",
+    "shuffle_blocks",
+    "reduce_fanout",
+    "tree_reduce_min_bytes",
+}
 
 
 def _public_callables():
@@ -32,7 +42,8 @@ def _public_callables():
                 if inspect.isfunction(obj):
                     yield f"{mod.__name__}.{name}", obj
                 elif inspect.isclass(obj):
-                    yield f"{mod.__name__}.{name}", obj.__init__
+                    if inspect.isfunction(obj.__init__):  # not a builtin's slot
+                        yield f"{mod.__name__}.{name}", obj.__init__
                     for meth, fn in vars(obj).items():
                         if not meth.startswith("_") and inspect.isfunction(fn):
                             yield f"{mod.__name__}.{name}.{meth}", fn
@@ -45,12 +56,23 @@ def test_walk_finds_the_pair_operators():
     assert "tilecloud_chain_ray.pipelines.curate.curate_corpus" in names
 
 
+def _offenders(knobs):
+    for name, fn in _public_callables():
+        params = inspect.signature(fn).parameters
+        yield from (f"{name}({p})" for p in sorted(knobs & set(params)))
+
+
 def test_no_path_knob_parameter():
+    assert list(_offenders(PATH_KNOBS)) == []
+
+
+def test_no_width_knob_parameter():
+    assert list(_offenders(WIDTH_KNOBS)) == []
+
+
+def test_no_kwargs_pass_through():
     offenders = []
     for name, fn in _public_callables():
-        try:
-            params = inspect.signature(fn).parameters
-        except (TypeError, ValueError):  # a builtin slot without a signature
-            continue
-        offenders += [f"{name}({p})" for p in sorted(PATH_KNOBS & set(params))]
+        params = inspect.signature(fn).parameters.values()
+        offenders += [f"{name}(**{p.name})" for p in params if p.kind is p.VAR_KEYWORD]
     assert offenders == []

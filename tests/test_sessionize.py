@@ -1,7 +1,7 @@
-"""Salted sessionize stage (stages/sessionize.py): correctness vs a
-single-process pandas reference, string-key support, per-event session
-ids, and the high-cardinality wall-time bound that proves the shuffle
-scales with n_buckets, not distinct users."""
+"""Partitioned sessionize stage (stages/sessionize.py): correctness vs
+a single-process pandas reference, string-key support, per-event
+session ids, and the high-cardinality wall-time bound that proves the
+exchange scales with its width, not distinct users."""
 
 import time
 
@@ -30,7 +30,7 @@ def _ref_counts(df: pd.DataFrame, gap: int) -> pd.DataFrame:
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_session_counts_matches_pandas():
+def test_session_counts_matches_pandas(at_width):
     rng = np.random.default_rng(7)
     n = 20_000
     df = pd.DataFrame(
@@ -41,18 +41,15 @@ def test_session_counts_matches_pandas():
         }
     )
     events = ray.data.from_arrow(pa.Table.from_pandas(df, preserve_index=False)).repartition(8)
-    got = (
-        session_counts(events, key="user_id", ts="ts", gap=100, tie="eid", n_buckets=16)
-        .to_pandas()
-        .sort_values("user_id")
-        .reset_index(drop=True)
-    )
+    with at_width(16):
+        got = session_counts(events, key="user_id", ts="ts", gap=100, tie="eid").to_pandas()
+    got = got.sort_values("user_id").reset_index(drop=True)
     want = _ref_counts(df, gap=100)
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_session_counts_string_keys():
+def test_session_counts_string_keys(at_width):
     df = pd.DataFrame(
         {
             "user_id": ["a", "b", "a", "a", "b", "c"],
@@ -61,19 +58,16 @@ def test_session_counts_string_keys():
         }
     )
     events = ray.data.from_arrow(pa.Table.from_pandas(df, preserve_index=False))
-    got = (
-        session_counts(events, key="user_id", ts="ts", gap=100, tie="eid", n_buckets=4)
-        .to_pandas()
-        .sort_values("user_id")
-        .reset_index(drop=True)
-    )
+    with at_width(4):
+        got = session_counts(events, key="user_id", ts="ts", gap=100, tie="eid").to_pandas()
+    got = got.sort_values("user_id").reset_index(drop=True)
     # a: 0,50 then gap to 500 -> 2; b: 5 then gap to 510 -> 2; c: 1
     want = pd.DataFrame({"user_id": ["a", "b", "c"], "n_sessions": [2, 2, 1]})
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_assign_sessions_ids():
+def test_assign_sessions_ids(at_width):
     df = pd.DataFrame(
         {
             "user_id": np.array([1, 1, 1, 2, 2], dtype=np.int64),
@@ -82,12 +76,9 @@ def test_assign_sessions_ids():
         }
     )
     events = ray.data.from_arrow(pa.Table.from_pandas(df, preserve_index=False))
-    got = (
-        assign_sessions(events, key="user_id", ts="ts", gap=100, tie="eid", n_buckets=4)
-        .to_pandas()
-        .sort_values("eid")
-        .reset_index(drop=True)
-    )
+    with at_width(4):
+        got = assign_sessions(events, key="user_id", ts="ts", gap=100, tie="eid").to_pandas()
+    got = got.sort_values("eid").reset_index(drop=True)
     assert got["session_id"].tolist() == [0, 0, 1, 0, 1]
     # counts derived from ids match session_counts
     derived = got.groupby("user_id")["session_id"].nunique()

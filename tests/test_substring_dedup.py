@@ -1,8 +1,8 @@
 """Exact substring dedup (stages/substring_dedup.py): exact-mode span
 equality vs a brute-force k-gram reference, within-doc repeats, the
 winnowing guarantee (anchors find every shared run >= k+w-1 words),
-span cutting, edge cases, and a volume run proving the shuffle is
-bucket-bounded."""
+span cutting, edge cases, and a volume run proving the exchange's
+task count is bounded by its width, not by fingerprint cardinality."""
 
 import re
 import time
@@ -83,27 +83,27 @@ def _take_spans(ds):
     return sorted((r["doc_id"], r["span_start"], r["span_end"]) for r in ds.take_all())
 
 
-def test_exact_spans_match_bruteforce():
+def test_exact_spans_match_bruteforce(at_width):
     docs, _ = _mk_corpus()
     ds = _ds_of(docs)
-    for cross in (True, False):
-        got = _take_spans(
-            dedup_substring_spans(ds, k=8, cross_doc=cross, n_buckets=8)
-        )
-        assert got == _brute_spans(docs, 8, cross_doc=cross)
-    # within-doc repeat only shows with cross_doc=False
-    within = set(_take_spans(dedup_substring_spans(ds, k=8, cross_doc=False, n_buckets=8)))
-    cross = set(_take_spans(dedup_substring_spans(ds, k=8, cross_doc=True, n_buckets=8)))
+    with at_width(8):
+        for cross in (True, False):
+            got = _take_spans(dedup_substring_spans(ds, k=8, cross_doc=cross))
+            assert got == _brute_spans(docs, 8, cross_doc=cross)
+        # within-doc repeat only shows with cross_doc=False
+        within = set(_take_spans(dedup_substring_spans(ds, k=8, cross_doc=False)))
+        cross = set(_take_spans(dedup_substring_spans(ds, k=8, cross_doc=True)))
     assert {d for d, _, _ in within - cross} == {100}
 
 
-def test_keep_first_spares_canonical_copy():
+def test_keep_first_spares_canonical_copy(at_width):
     """keep_first=True matches the brute reference (min-(key,pos)
     occurrence unflagged per window) and leaves the min-key doc of a
     cross-doc shared run byte-identical through the cut."""
     docs, _ = _mk_corpus()
     ds = _ds_of(docs)
-    got = _take_spans(dedup_substring_spans(ds, k=8, keep_first=True, n_buckets=8))
+    with at_width(8):
+        got = _take_spans(dedup_substring_spans(ds, k=8, keep_first=True))
     assert got == _brute_spans(docs, 8, keep_first=True)
     # planted docs 0,5,10,... share one run; doc 0 is the min key, so
     # its copy is canonical for every window -> no spans, text intact
@@ -111,20 +111,22 @@ def test_keep_first_spares_canonical_copy():
     assert 0 not in flagged_docs
     planted = {d for d, _ in docs[:40:5]}
     assert planted - {0} <= flagged_docs
-    spans = dedup_substring_spans(ds, k=8, keep_first=True, n_buckets=8)
-    cleaned = {r["doc_id"]: r["text"] for r in cut_duplicate_spans(ds, spans, n_buckets=8).take_all()}
+    with at_width(8):
+        spans = dedup_substring_spans(ds, k=8, keep_first=True)
+        cleaned = {r["doc_id"]: r["text"] for r in cut_duplicate_spans(ds, spans).take_all()}
     raw = dict(docs)
     assert cleaned[0] == raw[0]
     assert all(cleaned[d] != raw[d] for d in planted - {0})
 
 
-def test_winnow_guarantee_and_containment():
+def test_winnow_guarantee_and_containment(at_width):
     # planted run of 15 words, k=8, w=4: 15 >= k+w-1=11 -> every
     # planted doc must surface; every winnowed span lies inside an
     # exact-mode span (anchors are a subset of all positions)
     docs, _ = _mk_corpus()
     ds = _ds_of(docs)
-    got = _take_spans(dedup_substring_spans(ds, k=8, winnow=4, n_buckets=8))
+    with at_width(8):
+        got = _take_spans(dedup_substring_spans(ds, k=8, winnow=4))
     exact = _brute_spans(docs, 8)
     for d, s, e in got:
         assert any(d == d2 and s >= s2 and e <= e2 for d2, s2, e2 in exact)
@@ -136,11 +138,12 @@ def test_winnow_guarantee_and_containment():
     assert 0 < n_win < n_all
 
 
-def test_cut_removes_flagged_words():
+def test_cut_removes_flagged_words(at_width):
     docs, _ = _mk_corpus()
     ds = _ds_of(docs)
-    spans = dedup_substring_spans(ds, k=8, n_buckets=8)
-    cleaned = {r["doc_id"]: r["text"] for r in cut_duplicate_spans(ds, spans, n_buckets=8).take_all()}
+    with at_width(8):
+        spans = dedup_substring_spans(ds, k=8)
+        cleaned = {r["doc_id"]: r["text"] for r in cut_duplicate_spans(ds, spans).take_all()}
     bspans = defaultdict(list)
     for d, s, e in _brute_spans(docs, 8):
         bspans[d].append((s, e))
@@ -153,7 +156,7 @@ def test_cut_removes_flagged_words():
     assert set(cleaned) == {d for d, _ in docs}  # left join keeps clean docs
 
 
-def test_edges_short_docs_and_no_dups():
+def test_edges_short_docs_and_no_dups(at_width):
     tbl = pa.table(
         {
             "doc_id": pa.array([0, 1, 2], pa.int64()),
@@ -161,13 +164,15 @@ def test_edges_short_docs_and_no_dups():
         }
     )
     ds = ray.data.from_arrow(tbl)
-    spans = dedup_substring_spans(ds, k=8, n_buckets=4)
+    with at_width(4):
+        spans = dedup_substring_spans(ds, k=8)
     assert spans.count() == 0
     sch = spans.schema(fetch_if_missing=False)
     if sch is not None:  # fully-empty groupbys legitimately have no schema
         assert set(sch.names) == {"doc_id", "span_start", "span_end"}
     # cut with an empty span set passes text through byte-identically
-    out = {r["doc_id"]: r["text"] for r in cut_duplicate_spans(ds, spans, n_buckets=4).take_all()}
+    with at_width(4):
+        out = {r["doc_id"]: r["text"] for r in cut_duplicate_spans(ds, spans).take_all()}
     assert out == {0: "one two", 1: "a b c d e f g h i", 2: ""}
 
 
@@ -216,10 +221,10 @@ def test_winnow_guarantee_property():
     check()
 
 
-def test_volume_bucket_bounded():
+def test_volume_bucket_bounded(at_width):
     # 30k docs, ~3k distinct boilerplate sentences each duplicated into
     # two docs: distinct-fingerprint cardinality is row-scale, but the
-    # shuffle's Ray-group count stays n_buckets — the run must finish
+    # exchange's task count stays its width — the run must finish
     # in seconds, not minutes (per-group scheduling at row-scale keys
     # is the ~30x failure mode the salted pattern exists to avoid).
     rng = np.random.default_rng(3)
@@ -239,8 +244,8 @@ def test_volume_bucket_bounded():
         pa.table({"doc_id": pa.array(ids, pa.int64()), "text": pa.array(texts, pa.string())})
     ).repartition(8)
     t0 = time.perf_counter()
-    spans = dedup_substring_spans(ds, k=10, winnow=4, n_buckets=32)
-    rows = _take_spans(spans)
+    with at_width(32):
+        rows = _take_spans(dedup_substring_spans(ds, k=10, winnow=4))
     wall = time.perf_counter() - t0
     # every planted pair found (13-word runs >= k+w-1 force a shared
     # anchor), plus possibly rare vocab-collision extras

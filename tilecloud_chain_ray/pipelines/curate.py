@@ -86,9 +86,9 @@ def make_analyze_filter(
     return analyze_and_filter
 
 
-def make_md5_bucket(text_col: str, n_buckets: int):
+def make_md5_bucket(text_col: str):
     """Batch kernel appending ``content_md5`` (hex) and ``_bucket``
-    (exchange bucket from the digest's first 8 bytes) — one md5
+    (the digest's first 8 bytes mod ``DEDUP_BUCKETS``) — one md5
     pass emits both.  Shared by curate_corpus and curate_resumable."""
 
     def add_bucket(batch: pa.Table) -> pa.Table:
@@ -97,7 +97,7 @@ def make_md5_bucket(text_col: str, n_buckets: int):
         hexes = [d.hex() for d in digests]
         if digests:
             raw = np.frombuffer(b"".join(digests), dtype=np.uint64)[::2]
-            bucket = (raw % np.uint64(n_buckets)).astype(np.int64)
+            bucket = (raw % np.uint64(DEDUP_BUCKETS)).astype(np.int64)
         else:
             bucket = np.empty(0, dtype=np.int64)
         out = batch.append_column("content_md5", pa.array(hexes, pa.string()))
@@ -240,7 +240,7 @@ def curate_corpus(
     dedup_partition = make_dedup_partition(key_col)
 
     tagged = filtered.map_batches(
-        make_md5_bucket(text_col, DEDUP_BUCKETS), batch_format="pyarrow"
+        make_md5_bucket(text_col), batch_format="pyarrow"
     )
     # a task exchange, not a sort-groupby: no zero-schema empty
     # bundles at scale and no per-group UDF calls

@@ -54,7 +54,6 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from tilecloud_chain_ray.pipelines.curate import (
-    DEDUP_BUCKETS,
     CurateResult,
     make_analyze_filter,
     make_dedup_partition,
@@ -111,7 +110,7 @@ def _phase1_shard(
         ids = t[key_col].to_numpy(zero_copy_only=False)
         strat = t[group_col].to_pylist() if isinstance(sample_rates, dict) else None
         t = t.filter(pa.array(hash_sample_mask(ids, strat, sample_rates)))
-    t = make_md5_bucket(text_col, DEDUP_BUCKETS)(t)
+    t = make_md5_bucket(text_col)(t)
     return t, {"input_rows": n_in, "rows_out": t.num_rows}
 
 

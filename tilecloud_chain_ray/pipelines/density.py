@@ -82,7 +82,6 @@ def pixel_partials(cells: np.ndarray, zooms: Sequence[int]) -> pa.Table:
 def density_tiles(
     partials: ray.data.Dataset,
     layer: Layer,
-    n_buckets: int | None = None,
     out_wmts: str | None = None,
 ) -> ray.data.Dataset:
     """Pixel partials (:func:`pixel_partials` rows) -> finalized tile
@@ -90,8 +89,8 @@ def density_tiles(
     ``out_wmts`` the WMTS write.  The tail of both density pyramids.
 
     The partials move through one task exchange keyed on the packed
-    tile id (util.hash_group_blocks; ``n_buckets`` is the requested
-    width): each merge task sums every tile of its partition in one
+    tile id (util.hash_group_blocks, at
+    :func:`~tilecloud_chain_ray.util.exchange_width`): each merge task sums every tile of its partition in one
     vectorized pass, so the per-call overhead amortizes over many
     tiles — never one Ray group per tile, which Ray's sort groupby
     packed into a handful of blocks (observed: effective parallelism
@@ -188,9 +187,7 @@ def density_tiles(
             }
         )
 
-    assembled = hash_group_blocks(
-        partials, ["tile"], assemble_partition, num_partitions=n_buckets
-    )
+    assembled = hash_group_blocks(partials, ["tile"], assemble_partition)
     _, empty_tile = empty_signatures(layer, png_level=png_level)
     tiles = assembled.map_batches(render_tiles, batch_format="pyarrow")
     tiles = tiles.map_batches(
@@ -218,18 +215,14 @@ def density_pyramid(
     out_wmts: str | None = None,
     out_parquet: str | None = None,
     with_summary: bool = True,
-    n_buckets: int | None = None,
 ):
     """Full density pyramid for the given zooms (finest first not
     required).  Returns (tiles_dataset, summary_dict).
 
-    ``n_buckets`` is the requested width of the assembly exchange (see
-    :func:`density_tiles`); the default is one partition per
-    cluster core (:func:`~tilecloud_chain_ray.util.default_buckets`),
-    raised when the partials' bytes call for it.  More partitions buy
-    render parallelism on big tile universes, fewer cut the per-task
-    overhead when the output is small; the tiles are the same at any
-    width."""
+    The assembly exchange (see :func:`density_tiles`) runs at
+    :func:`~tilecloud_chain_ray.util.exchange_width`: one partition per
+    cluster core, raised when the partials' bytes call for it.  The
+    tiles are the same at any width."""
     from tilecloud_chain_ray.pipelines.generate import GenerateResult
 
     assert not layer.meta, "density tiles are rendered per-tile (meta=False)"
@@ -245,7 +238,7 @@ def density_pyramid(
     partials = geocoded.map_batches(
         partials_of, batch_format="pyarrow", batch_size=PARTIALS_BATCH_SIZE
     )
-    tiles = density_tiles(partials, layer, n_buckets=n_buckets, out_wmts=out_wmts)
+    tiles = density_tiles(partials, layer, out_wmts=out_wmts)
     if out_parquet is not None:
         tiles.write_parquet(out_parquet, partition_cols=["z"])
         tiles = read_parquet_clean(out_parquet)

@@ -276,15 +276,32 @@ def generate_tiles(
 
 def generate_tiles_multi_grid(
     layers: Sequence[Layer],
-    **kwargs,
+    *,
+    role: str = "local",
+    cli_bbox: tuple[float, float, float, float] | None = None,
+    zooms: Sequence[int] | None = None,
+    out_wmts: str | None = None,
+    concurrency: int | tuple[int, int] = (1, 4),
+    render_batch_size: int = 8,
 ) -> GenerateResult:
     """Multi-grid layer run (§2.7): the reference concatenates a layer's
     per-grid tile streams (``__init__.py:2182-2230``); here each grid is
     one ``generate_tiles`` Dataset and the results union (the ``grid``
     column distinguishes them).  Pass one ``Layer`` per grid (same name,
-    different ``grid``)."""
+    different ``grid``); the options are ``generate_tiles``' and apply
+    to every grid alike."""
     results = [
-        generate_tiles(layer, with_summary=False, **kwargs) for layer in layers
+        generate_tiles(
+            layer,
+            role=role,
+            cli_bbox=cli_bbox,
+            zooms=zooms,
+            out_wmts=out_wmts,
+            concurrency=concurrency,
+            render_batch_size=render_batch_size,
+            with_summary=False,
+        )
+        for layer in layers
     ]
     tiles = results[0].tiles
     if len(results) > 1:

@@ -513,7 +513,7 @@ def q_orders_lineitem_join(sf_dir: str) -> ray.data.Dataset:
     lineitem = _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"]).map_batches(
         lambda b: b.rename_columns(["okey", "l_quantity"]), batch_format="pyarrow"
     )
-    joined = hash_join(orders, lineitem, on="okey", how="inner", n_buckets=32)
+    joined = hash_join(orders, lineitem, on="okey", how="inner")
     return joined.groupby("o_orderpriority").aggregate(
         Count(alias_name="n_lines"), Sum("l_quantity", alias_name="sum_qty")
     )

@@ -16,14 +16,19 @@ import os
 import ray
 
 from tilecloud_chain_ray.config import Layer
+from tilecloud_chain_ray.util import exchange_aggregate
 
 
 def write_manifest(out_dir: str, layers: list[Layer], tiles: ray.data.Dataset | None = None) -> str:
     per_zoom_counts: dict[str, int] = {}
     if tiles is not None:
-        for row in tiles.groupby(["layer", "z", "status"]).count().take_all():
+        keys = ["layer", "z", "status"]
+        counts = exchange_aggregate(
+            tiles.select_columns(keys), keys, [([], "count_all")], [*keys, "n"]
+        )
+        for row in counts.take_all():
             if row["status"] == "stored":
-                per_zoom_counts[f"{row['layer']}/{row['z']}"] = row["count()"]
+                per_zoom_counts[f"{row['layer']}/{row['z']}"] = row["n"]
     doc = {
         "format": "tilecloud-chain-ray/manifest/1",
         "layers": [

@@ -17,6 +17,7 @@ import pyarrow as pa
 import ray
 
 from tilecloud_chain_ray.config import Layer
+from tilecloud_chain_ray.util import exchange_aggregate
 
 
 def tile_path(
@@ -127,8 +128,12 @@ def write_tiles_parquet(ds: ray.data.Dataset, out_dir: str) -> None:
 
 def summarize(tiles: ray.data.Dataset, meta_size: int, meta: bool) -> dict[str, int]:
     """Reference-style run counters from the in-band status column
-    (``generate.py:410-482`` summary block)."""
-    counts = {r["status"]: r["count()"] for r in tiles.groupby("status").count().take_all()}
+    (``generate.py:410-482`` summary block), counted through the task
+    exchange (:func:`~tilecloud_chain_ray.util.exchange_aggregate`)."""
+    by_status = exchange_aggregate(
+        tiles.select_columns(["status"]), ["status"], [([], "count_all")], ["status", "n"]
+    )
+    counts = {r["status"]: r["n"] for r in by_status.take_all()}
     meta_dropped = counts.get("meta_dropped", 0)
     dropped = counts.get("dropped", 0)
     stored = counts.get("stored", 0)

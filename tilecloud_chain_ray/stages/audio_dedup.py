@@ -123,7 +123,6 @@ def audio_near_dup_pairs(
     max_hamming: int = 3,
     batch_size: int = 64,
     concurrency: int | tuple[int, int] = (1, 8),
-    n_buckets: int | None = None,
 ) -> ray.data.Dataset:
     """(key_a < key_b, hamming) pairs of perceptually-near-duplicate
     clips; decode is the actor-pool leg, pairing is the shared blocked
@@ -140,5 +139,4 @@ def audio_near_dup_pairs(
         key_col=key_col,
         hash_col="audiohash",
         max_hamming=max_hamming,
-        n_buckets=n_buckets,
     )

@@ -28,6 +28,10 @@ import ray
 from tilecloud_chain_ray.functions.hashing import mix64 as _mix64
 from tilecloud_chain_ray.util import fits_driver
 
+# Slots of the OR tree: a tree-merged build hands the driver at most
+# this many bitmaps, however many blocks the key side has.
+REDUCE_FANOUT = 16
+
 
 def _bit_positions(keys: np.ndarray, n_bits: int, k: int) -> np.ndarray:
     """(len(keys), k) bit indexes via double hashing."""
@@ -59,19 +63,16 @@ def build_bloom(
     key_col: str,
     n_keys_hint: int,
     bits_per_key: int = 13,
-    reduce_fanout: int = 16,
-    tree_reduce_min_bytes: int = 1 << 20,
 ) -> tuple[np.ndarray, int, int]:
     """Distributed bitmap build: one fixed-size partial per block,
     OR-merged.  Returns (bitmap, n_bits, k).  k = ln2 * bits_per_key
     (≈0.7), FP ≈ 0.6185^bits_per_key (~0.1 % at 13).
 
-    Large bitmaps (>= ``tree_reduce_min_bytes``) merge through a
-    groupby tree first: each block's partial lands in one of
-    ``reduce_fanout`` slots, slots OR-merge in tasks, and the driver
-    only merges ``reduce_fanout`` bitmaps — n_blocks × bitmap bytes of
-    driver traffic becomes fanout × bitmap bytes.  Small bitmaps skip
-    the shuffle barrier and OR directly on the driver."""
+    The partials OR on the driver when their bytes (partials × bitmap
+    bytes) fit :func:`~tilecloud_chain_ray.util.fits_driver`.
+    Otherwise they merge through a task tree first: each partial lands
+    in one of ``REDUCE_FANOUT`` slots, slots OR-merge in tasks, and the
+    driver only merges ``REDUCE_FANOUT`` bitmaps."""
     n_bits = max(64, n_keys_hint * bits_per_key)
     k = max(1, int(round(0.693 * bits_per_key)))
     bm_bytes = (n_bits + 7) // 8
@@ -82,13 +83,13 @@ def build_bloom(
         # slot assignment only needs balance, not determinism (OR is
         # commutative): hash the block's first key + length
         seed = np.uint64(keys.astype(np.uint64)[0] if len(keys) else 0) ^ np.uint64(len(keys))
-        slot = int(_mix64(np.array([seed], np.uint64))[0] % np.uint64(reduce_fanout))
+        slot = int(_mix64(np.array([seed], np.uint64))[0] % np.uint64(REDUCE_FANOUT))
         return pa.Table.from_pydict(
             {"slot": pa.array([slot], pa.int64()), "bm": pa.array([bm.tobytes()], pa.binary())}
         )
 
-    partials = keys_ds.map_batches(block_bitmap, batch_format="pyarrow")
-    if bm_bytes >= tree_reduce_min_bytes:
+    partials = keys_ds.map_batches(block_bitmap, batch_format="pyarrow").materialize()
+    if not fits_driver(partials.count() * bm_bytes):
         def or_group(g: pa.Table) -> pa.Table:
             # OR is commutative/associative, so one row per hash
             # partition is as good as one per slot.  num_rows guard
@@ -110,7 +111,7 @@ def build_bloom(
 
         # task exchange, not sort-groupby (zero-schema empty bundles)
         partials = hash_group_blocks(
-            partials, ["slot"], or_group, num_partitions=reduce_fanout
+            partials, ["slot"], or_group, num_partitions=REDUCE_FANOUT
         )
 
     merged = np.zeros(bm_bytes, dtype=np.uint8)
@@ -124,7 +125,6 @@ def _anti_join_partitioned(
     right_keys: ray.data.Dataset,
     on: str,
     right_key_col: str,
-    n_buckets: int | None,
 ) -> ray.data.Dataset:
     """Exact anti-join of the flagged residue against the right key
     set, hash-partitioned on the key, all in arrow (no pandas upcast,
@@ -165,7 +165,7 @@ def _anti_join_partitioned(
 
     # partitioned on the key itself (both sides carry it at the same
     # type): is_in is membership on the co-located key set
-    return hash_group_blocks(both, [on], anti, num_partitions=n_buckets)
+    return hash_group_blocks(both, [on], anti)
 
 
 def bloom_anti_join(
@@ -175,7 +175,6 @@ def bloom_anti_join(
     right_key_col: str | None = None,
     n_keys_hint: int = 1 << 20,
     bits_per_key: int = 13,
-    n_buckets: int | None = None,
 ) -> ray.data.Dataset:
     """EXACT anti-join (left rows whose key is absent from right_keys)
     via Bloom prefilter + exact verification of the flagged residue.
@@ -192,9 +191,8 @@ def bloom_anti_join(
       collected, the MATCHING right keys semi-filtered against them
       and broadcast back (measured 800k rows vs 100k keys in ~9 s);
     * **cluster** — otherwise (corpus-scale match sets), the
-      flagged rows and the right keys hash-partition on the key
-      (``n_buckets`` is the requested exchange width) and each
-      partition does a vectorized arrow anti-check
+      flagged rows and the right keys hash-partition on the key and
+      each partition does a vectorized arrow anti-check
       (``_anti_join_partitioned``): nothing key-shaped touches the
       driver.
     """
@@ -235,9 +233,7 @@ def bloom_anti_join(
         ).take_all()
     )
     if not fits_driver(n_flagged * 16):
-        fp_survivors = _anti_join_partitioned(
-            flagged_rows, right_keys, on, right_key_col, n_buckets
-        )
+        fp_survivors = _anti_join_partitioned(flagged_rows, right_keys, on, right_key_col)
         return clean.union(fp_survivors)
 
     # exact check of the residue: the flagged keys are few by design,

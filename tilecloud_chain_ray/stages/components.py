@@ -40,7 +40,7 @@ import pyarrow as pa
 import ray
 from ray.data.aggregate import Sum
 
-from tilecloud_chain_ray.util import default_buckets, exchange_aggregate, fits_driver
+from tilecloud_chain_ray.util import exchange_aggregate, fits_driver
 
 
 def _union_find_driver(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -74,7 +74,6 @@ def connected_components(
     pairs: ray.data.Dataset,
     key_a: str = "key_a",
     key_b: str = "key_b",
-    n_buckets: int | None = None,
     max_rounds: int = 64,
 ) -> ray.data.Dataset:
     """Pair list -> (key, component) with component = min reachable key.
@@ -83,8 +82,6 @@ def connected_components(
     callers treat absence as "own component" (see
     ``near_dedup_survivors``).
     """
-    if n_buckets is None:
-        n_buckets = default_buckets()
     pairs = pairs.select_columns([key_a, key_b]).materialize()
     n_pairs = pairs.count()
     if n_pairs == 0:
@@ -122,11 +119,7 @@ def connected_components(
     # are ~one per doc — a sort over that key space per round is the
     # exact shape hash_group_blocks replaces)
     labels = exchange_aggregate(
-        messages.select_columns(["node"]),
-        ["node"],
-        [("node", "min")],
-        ["node", "label"],
-        num_partitions=n_buckets,
+        messages.select_columns(["node"]), ["node"], [("node", "min")], ["node", "label"]
     )
     prev_sum = labels.aggregate(Sum("label", alias_name="s"))["s"]
 
@@ -135,7 +128,7 @@ def connected_components(
         nbr_labels = labels.map_batches(
             lambda b: b.rename_columns(["nbr", "label"]), batch_format="pyarrow"
         )
-        flowed = hash_join(messages, nbr_labels, on="nbr", n_buckets=n_buckets)
+        flowed = hash_join(messages, nbr_labels, on="nbr")
         # pointer doubling (hash-to-min): label(label) — labels are
         # themselves node keys, so one self-join jumps two hops and the
         # round count drops from O(diameter) to O(log diameter)
@@ -143,7 +136,7 @@ def connected_components(
             lambda b: b.rename_columns(["label", "label2"]), batch_format="pyarrow"
         )
         doubled = hash_join(
-            labels.select_columns(["node", "label"]), ptr_lookup, on="label", n_buckets=n_buckets
+            labels.select_columns(["node", "label"]), ptr_lookup, on="label"
         ).map_batches(
             lambda b: pa.table({"node": b["node"], "label": b["label2"]}),
             batch_format="pyarrow",
@@ -161,13 +154,7 @@ def connected_components(
         # blowing up 1.1 s -> 119 s by round 4 before the fixed-count
         # repartition this replaces), and its output is concrete
         # object-store refs — no extra materialize needed
-        labels = exchange_aggregate(
-            candidates,
-            ["node"],
-            [("label", "min")],
-            ["node", "label"],
-            num_partitions=n_buckets,
-        )
+        labels = exchange_aggregate(candidates, ["node"], [("label", "min")], ["node", "label"])
         # labels only decrease -> sum fixpoint == convergence.  int64
         # sum is exact while n_nodes * max_key < 2^63 (e.g. 2^22 nodes
         # x 2^40 keys); beyond that a keyed count-of-changes check
@@ -186,7 +173,6 @@ def near_dedup_survivors(
     docs: ray.data.Dataset,
     pairs: ray.data.Dataset,
     key_col: str = "doc_id",
-    **cc_kwargs,
 ) -> ray.data.Dataset:
     """Keep one doc per near-dup cluster (the min key) plus every doc
     not in any cluster.
@@ -199,7 +185,7 @@ def near_dedup_survivors(
     (stages/bloom.py) — bitmap broadcast + distributed residue, never
     a driver-sized key set.
     """
-    comp = connected_components(pairs, **cc_kwargs).materialize()
+    comp = connected_components(pairs).materialize()
 
     def dropped(batch: pa.Table) -> pa.Table:
         keys = batch["key"].to_numpy(zero_copy_only=False)

@@ -378,15 +378,14 @@ def _bucket_run_pairs(batch: pa.Table, max_bucket: int) -> pa.Table:
 
 
 def _expand_hot_bucket_pairs(
-    banded: ray.data.Dataset, max_bucket: int = 10_000, n_buckets: int | None = None
+    banded: ray.data.Dataset, max_bucket: int = 10_000
 ) -> ray.data.Dataset:
     """Distinct candidate pairs (:func:`_bucket_run_pairs`) of a
     (key, band, band_hash) table, fully distributed: one task exchange
     hash-partitioned on (band, band_hash) expands every run's pairs,
     and when it yields more than one partition, a second one,
     partitioned on the pair, drops the pairs found in several
-    (util.hash_group_blocks; ``n_buckets`` is the requested width,
-    default one partition per core).  A pre-aggregate "hot bucket"
+    (util.hash_group_blocks).  A pre-aggregate "hot bucket"
     detection pass was measured strictly slower on Ray (its groupby
     shuffles the same rows without reducing them — 2.7M near-unique
     keys — and one Ray group per key costs ~1 ms of map_groups
@@ -394,10 +393,7 @@ def _expand_hot_bucket_pairs(
     from tilecloud_chain_ray.util import hash_group_blocks
 
     cand = hash_group_blocks(
-        banded,
-        ["band", "band_hash"],
-        lambda t: _bucket_run_pairs(t, max_bucket),
-        num_partitions=n_buckets,
+        banded, ["band", "band_hash"], lambda t: _bucket_run_pairs(t, max_bucket)
     )
     if cand.num_blocks() <= 1:  # one partition held every run
         return cand
@@ -406,7 +402,7 @@ def _expand_hot_bucket_pairs(
     # sort groupby-aggregate over the raw pairs measured ~60 s where
     # this takes ~2 s — Ray's sort-based groupby pays per distinct key,
     # so dedup vectorized inside each exchange partition instead
-    return hash_group_blocks(cand, ["key_a", "key_b"], _distinct_pairs, num_partitions=n_buckets)
+    return hash_group_blocks(cand, ["key_a", "key_b"], _distinct_pairs)
 
 
 def minhash_dedup_pairs(
@@ -507,13 +503,11 @@ def _verify_pairs_distributed(
     candidate_pairs: ray.data.Dataset,
     sigs: ray.data.Dataset,
     threshold: float,
-    n_buckets: int | None = None,
 ) -> ray.data.Dataset:
     """Exact Jaccard over candidate pairs with NO driver materialization.
 
-    Two task exchanges (util.hash_group_blocks; ``n_buckets`` is the
-    requested width — NEVER one Ray group per key/pair, which costs
-    ~1 ms per tiny group): (1) partitioned on the doc key, each
+    Two task exchanges (util.hash_group_blocks — NEVER one Ray group
+    per key/pair, which costs ~1 ms per tiny group): (1) partitioned on the doc key, each
     partition maps its pair-halves against its sig rows via one
     partition-local dict, attaching each doc's shingle sig to every
     half referencing it; (2) partitioned on the pair, each partition
@@ -583,7 +577,7 @@ def _verify_pairs_distributed(
 
     from tilecloud_chain_ray.util import hash_group_blocks
 
-    attached = hash_group_blocks(tagged, ["jkey"], attach_bucket, num_partitions=n_buckets)
+    attached = hash_group_blocks(tagged, ["jkey"], attach_bucket)
 
     def combine_bucket(batch: pa.Table) -> pd.DataFrame:
         group = batch.to_pandas()
@@ -644,9 +638,7 @@ def _verify_pairs_distributed(
         )
 
     # both halves of a pair share (key_a, key_b): partition on the pair
-    return hash_group_blocks(
-        attached, ["key_a", "key_b"], combine_bucket, num_partitions=n_buckets
-    )
+    return hash_group_blocks(attached, ["key_a", "key_b"], combine_bucket)
 
 
 # ---------------------------------------------------------------------------
@@ -800,7 +792,6 @@ def simhash_candidates(
     key_col: str = "doc_id",
     text_col: str = "text",
     max_hamming: int = 3,
-    n_buckets: int | None = None,
 ) -> ray.data.Dataset:
     """Near-dup pairs with hamming(simhash) <= max_hamming, blocked on
     any equal 16-bit quarter (exact for max_hamming <= 3 by pigeonhole),
@@ -810,7 +801,7 @@ def simhash_candidates(
         batch_format="pyarrow",
     )
     return hamming_blocked_pairs(
-        hashed, key_col=key_col, hash_col="simhash", max_hamming=max_hamming, n_buckets=n_buckets
+        hashed, key_col=key_col, hash_col="simhash", max_hamming=max_hamming
     )
 
 
@@ -819,7 +810,6 @@ def hamming_blocked_pairs(
     key_col: str = "doc_id",
     hash_col: str = "simhash",
     max_hamming: int = 3,
-    n_buckets: int | None = None,
 ) -> ray.data.Dataset:
     """Pairs with hamming(hash) <= max_hamming over ANY 64-bit hash
     column (text simhash, image pHash/dHash, ...), blocked on equal
@@ -833,9 +823,8 @@ def hamming_blocked_pairs(
     same kernels (``_block_run_pairs`` then ``_min_hamming``), picked
     by :func:`~tilecloud_chain_ray.util.fits_driver` on the table's
     ~16 B/row (key + hash): one driver pass over all 4 blockings, or
-    a task exchange on the block id followed by one on the pair
-    (``n_buckets`` is the requested width).  Pair order is not
-    defined."""
+    a task exchange on the block id followed by one on the pair.
+    Pair order is not defined."""
     from tilecloud_chain_ray.util import fits_driver, hash_group_blocks
 
     hashed = hashed.materialize()  # reused by the count gate + pair pass
@@ -872,12 +861,7 @@ def hamming_blocked_pairs(
             )
         )
 
-    allp = hash_group_blocks(
-        hashed.map_batches(fan, batch_format="pyarrow"),
-        ["bv"],
-        bucket_pairs,
-        num_partitions=n_buckets,
-    )
+    allp = hash_group_blocks(hashed.map_batches(fan, batch_format="pyarrow"), ["bv"], bucket_pairs)
     # pair dedup partitioned on the pair: Ray's two-column sort groupby
     # pays per distinct key, so reduce vectorized inside each partition
     return hash_group_blocks(allp, ["key_a", "key_b"], _min_hamming)

@@ -4,7 +4,8 @@
 engine sort one row per (group, key) — for a z-14 pyramid that is one
 row per occupied tile (~10^8 at scale) through a sort shuffle.  This
 operator ships the same information as ~``n_batches * n_groups *
-n_buckets`` rows, each carrying a SORTED UNIQUE int64 key array:
+width`` rows (``width`` = the exchange width), each carrying a SORTED
+UNIQUE int64 key array:
 
 1. per input batch: unique keys per (group, hash-bucket) -> one list row,
 2. task exchange on (group, bucket): every co-located cell merges in one
@@ -22,7 +23,7 @@ import numpy as np
 import pyarrow as pa
 import ray
 
-from tilecloud_chain_ray.util import default_buckets, exchange_width
+from tilecloud_chain_ray import util
 
 
 def _bundle(g: np.ndarray, k: np.ndarray, w: np.ndarray, n_buckets: int) -> pa.Table:
@@ -93,41 +94,36 @@ def grouped_distinct_counts(
     ds: ray.data.Dataset,
     group_col: str,
     key_col: str,
-    n_buckets: int | None = None,
     count_col: str = "n_distinct",
     rows_col: str = "n_rows",
-    shuffle_blocks: int | None = None,  # retired knob, kept for API compat
 ) -> ray.data.Dataset:
     """Per-group exact distinct(key) + row counts.
 
     Returns (group_col, n_distinct, n_rows).  Key column must be int64.
 
-    The bundle rows move through :func:`util.hash_group_blocks` (round
-    5): the former sort-groupby needed a ``shuffle_blocks`` repartition
-    to narrow its exchange, and still emitted zero-schema empty bundles
-    on duplicate sampled boundaries; the task exchange needs neither —
-    ``shuffle_blocks`` is accepted but ignored.
+    The bundle rows move through :func:`util.hash_group_blocks`, not a
+    sort-groupby (zero-schema empty bundles on duplicate sampled
+    boundaries).
 
-    ``n_buckets`` is the bucket count per group and the exchange width.
-    By default it is one per cluster core, and the bundles are re-cut
-    to :func:`util.exchange_width` of their bytes when that is more:
-    a bundle row cannot be split, so the salt must be as wide as the
-    exchange for the width to spread a large group.
+    The bucket count per group is the exchange width: one per cluster
+    core, and the bundles are re-cut to :func:`util.exchange_width` of
+    their bytes when that is more.  A bundle row cannot be split, so
+    the salt must be as wide as the exchange for the width to spread a
+    large group.
     """
-    nb = n_buckets or default_buckets()
+    nb = util.default_buckets()
 
     def bundle(batch: pa.Table) -> pa.Table:
         g = batch[group_col].to_numpy(zero_copy_only=False).astype(np.int64)
         k = batch[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
         return _bundle(g, k, np.ones(len(k), dtype=np.int64), nb)
 
-    bundles = ds.map_batches(bundle, batch_format="pyarrow")
-    if n_buckets is None:
-        bundles = bundles.materialize()  # the exchange's own input: no extra pass
-        width = exchange_width(bundles.size_bytes(), nb)
-        if width > nb:
-            bundles = bundles.map_batches(_rebundle(nb, width), batch_format="pyarrow")
-            nb = width
+    # materialized: the exchange's own input, so sizing costs no extra pass
+    bundles = ds.map_batches(bundle, batch_format="pyarrow").materialize()
+    width = util.exchange_width(bundles.size_bytes())
+    if width > nb:
+        bundles = bundles.map_batches(_rebundle(nb, width), batch_format="pyarrow")
+        nb = width
 
     def merge_partition(t: pa.Table) -> pa.Table:
         """Multi-cell kernel for the task exchange: every co-located

@@ -260,9 +260,18 @@ def fetch_tiles(
     batch_size: int = 16,
     num_cpus: float = 0.25,
     drop_empty: bool = True,
-    **fetcher_kwargs,
+    url_column: str = "url",
+    headers: dict[str, str] | None = None,
+    allows_no_contenttype: bool = False,
+    per_host_limit: int = 8,
+    host_limits: dict[str, int] | None = None,
+    requests_per_actor: int = 16,
+    timeout: float = 30.0,
+    retries: int = 2,
+    backoff: float = 0.1,
 ):
-    """Wire a coord Dataset through an HTTPFetcher actor pool.
+    """Wire a coord Dataset through an HTTPFetcher actor pool (the
+    options from ``url_column`` on are :class:`HTTPFetcher`'s).
 
     I/O-bound: each actor holds ``requests_per_actor`` in-flight GETs
     but burns little CPU, so ``num_cpus`` is fractional — 4 actors at
@@ -275,7 +284,18 @@ def fetch_tiles(
     layout = WMSLayout(url, layer)
     fetched = ds.map_batches(
         HTTPFetcher,
-        fn_constructor_kwargs={"layout": layout, **fetcher_kwargs},
+        fn_constructor_kwargs=dict(
+            layout=layout,
+            url_column=url_column,
+            headers=headers,
+            allows_no_contenttype=allows_no_contenttype,
+            per_host_limit=per_host_limit,
+            host_limits=host_limits,
+            requests_per_actor=requests_per_actor,
+            timeout=timeout,
+            retries=retries,
+            backoff=backoff,
+        ),
         batch_format="pyarrow",
         batch_size=batch_size,
         concurrency=concurrency,

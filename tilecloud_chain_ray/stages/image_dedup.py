@@ -178,7 +178,6 @@ def image_near_dup_pairs(
     max_hamming: int = 3,
     batch_size: int = 64,
     concurrency: int | tuple[int, int] = (1, 8),
-    n_buckets: int | None = None,
 ) -> ray.data.Dataset:
     """(key_a < key_b, hamming) pairs of perceptually-near-duplicate
     images.  Hashing is the actor-pool decode stage; pairing is the
@@ -198,5 +197,4 @@ def image_near_dup_pairs(
         key_col=key_col,
         hash_col="imghash",
         max_hamming=max_hamming,
-        n_buckets=n_buckets,
     )

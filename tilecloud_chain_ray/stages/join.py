@@ -9,9 +9,9 @@ join.  Only the projected join columns should be fed in (project before
 joining).
 
 Ray's native ``Dataset.join`` (hash-partitioned) exists in recent
-releases; this implementation is version-portable and makes the
-partitioning/skew knobs explicit (``n_buckets`` is the requested
-exchange width; hot keys go through ``skew_keys``).
+releases; this implementation is version-portable and makes the skew
+path explicit (hot keys go through ``skew_keys``).  The exchange width
+is the engine's: :func:`~tilecloud_chain_ray.util.exchange_width`.
 """
 
 from __future__ import annotations
@@ -76,7 +76,6 @@ def hash_join(
     right: ray.data.Dataset,
     on: str,
     how: str = "inner",
-    n_buckets: int | None = None,
     suffixes: tuple[str, str] = ("_l", "_r"),
     skew_keys: "list[int] | str | None" = None,
     skew_min_share: float = 0.05,
@@ -86,9 +85,9 @@ def hash_join(
     ``how``: inner | left.  Output columns: join key + both sides'
     other columns (suffixed on collision).
 
-    ``n_buckets`` is the requested exchange width (default: one
-    partition per cluster core); the exchange raises it further when
-    the input's bytes call for it (util.hash_group_blocks).
+    The exchange runs at :func:`~tilecloud_chain_ray.util.exchange_width`:
+    one partition per cluster core, raised when the input's bytes call
+    for it (util.hash_group_blocks).
 
     Skew: partitioning by key hash cannot split a single hot key — all
     of a hot key's rows land in one partition no matter how wide the
@@ -123,7 +122,7 @@ def hash_join(
         )
         skew_keys = hot["key"].to_pylist() or None
     if skew_keys:
-        return _skew_join(left, right, on, how, n_buckets, suffixes, skew_keys)
+        return _skew_join(left, right, on, how, suffixes, skew_keys)
 
     # union of tagged sides: schemas differ -> pad each side with the
     # other side's columns as nulls so the union has one schema
@@ -185,7 +184,7 @@ def hash_join(
     # task exchange on the join key itself, not sort-groupby
     # (zero-schema empty bundles) and not a salt column: a salt fixed at
     # plan time would cap how far the exchange can widen for its bytes
-    return hash_group_blocks(both, [on], join_partition, num_partitions=n_buckets)
+    return hash_group_blocks(both, [on], join_partition)
 
 
 def _skew_join(
@@ -193,7 +192,6 @@ def _skew_join(
     right: ray.data.Dataset,
     on: str,
     how: str,
-    n_buckets: int | None,
     suffixes: tuple[str, str],
     skew_keys: list[int],
 ) -> ray.data.Dataset:
@@ -267,7 +265,7 @@ def _skew_join(
 
     hot_joined = split(left, True).map_batches(map_side, batch_format="pyarrow")
     cold_joined = hash_join(
-        split(left, False), split(right, False), on, how, n_buckets, suffixes
+        split(left, False), split(right, False), on, how, suffixes
     ).map_batches(align, batch_format="pyarrow")
     return cold_joined.union(hot_joined)
 
@@ -314,7 +312,6 @@ def asof_join(
     ts: str,
     right_cols: list[str],
     strict: bool = True,
-    n_buckets: int | None = None,
 ) -> ray.data.Dataset:
     """As-of join: for each left row, the latest right row of the same
     ``key`` with ``right.ts < left.ts`` (``strict``) or ``<=``.
@@ -328,7 +325,6 @@ def asof_join(
     by=key)`` handles every key at once.  Each key's full history
     co-locates in its partition — the standard as-of partitioning
     assumption; salt by time range when a single key's history is huge.
-    ``n_buckets`` is the requested exchange width, as in ``hash_join``.
     """
 
     left_schema = left.schema()
@@ -396,4 +392,4 @@ def asof_join(
 
     from tilecloud_chain_ray.util import hash_group_blocks
 
-    return hash_group_blocks(both, [key], merge_partition, num_partitions=n_buckets)
+    return hash_group_blocks(both, [key], merge_partition)

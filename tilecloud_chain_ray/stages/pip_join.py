@@ -134,12 +134,22 @@ def pip_join(
     mode: str = "left",
     concurrency: int | tuple[int, int] = (1, 4),
     batch_size: int = 16384,
-    **kw,
+    x_col: str = "x",
+    y_col: str = "y",
+    out_col: str = "layer",
+    bucket_bits: int | None = None,
 ) -> ray.data.Dataset:
     layers_ref = ray.put(layers)
     return ds.map_batches(
         PIPJoin,
-        fn_constructor_kwargs={"layers_ref": layers_ref, "mode": mode, **kw},
+        fn_constructor_kwargs=dict(
+            layers_ref=layers_ref,
+            mode=mode,
+            x_col=x_col,
+            y_col=y_col,
+            out_col=out_col,
+            bucket_bits=bucket_bits,
+        ),
         batch_format="pyarrow",
         batch_size=batch_size,
         concurrency=concurrency,
@@ -152,7 +162,10 @@ def pip_join_tasks(
     mode: str = "left",
     batch_size: int = 16384,
     cache_key: str | None = None,
-    **kw,
+    x_col: str = "x",
+    y_col: str = "y",
+    out_col: str = "layer",
+    bucket_bits: int | None = None,
 ) -> ray.data.Dataset:
     """Task-based PIP join for small/medium layer sets: the STRtree is
     built once per worker process (``process_cached``) from a single
@@ -169,10 +182,11 @@ def pip_join_tasks(
     # could serve a stale tree built from a different layer set); an
     # explicit cache_key opts into cross-call sharing
     ident = cache_key if cache_key is not None else layers_ref.hex()
-    key = ("pip_join_tasks", ident, mode, tuple(sorted(kw.items())))
+    kw = dict(mode=mode, x_col=x_col, y_col=y_col, out_col=out_col, bucket_bits=bucket_bits)
+    key = ("pip_join_tasks", ident, tuple(kw.items()))
 
     def fn(batch: pa.Table) -> pa.Table:
-        st = process_cached(key, lambda: PIPJoin(layers_ref, mode=mode, **kw))
+        st = process_cached(key, lambda: PIPJoin(layers_ref, **kw))
         return st(batch)
 
     return ds.map_batches(fn, batch_format="pyarrow", batch_size=batch_size)

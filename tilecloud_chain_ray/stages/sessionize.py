@@ -8,8 +8,8 @@ group per distinct user — row-scale key cardinality for clickstreams,
 the exact shuffle shape BASELINE.md's ledger measured ~30x slower than
 a salted bucket groupby (per-group scheduling ~1 ms x millions of
 keys).  Here the events hash-partition on the key
-(util.hash_group_blocks; ``n_buckets`` is the requested width, every
-key's full history co-locating in its partition) and the per-partition
+(util.hash_group_blocks, at the engine's width; every key's full
+history co-locates in its partition) and the per-partition
 kernel is ONE vectorized numpy pass over ALL users in the partition at
 once — no per-user Python.
 
@@ -33,7 +33,6 @@ def session_counts(
     ts: str = "ts",
     gap: int = 600_000_000,
     tie: str | None = None,
-    n_buckets: int | None = None,
 ) -> ray.data.Dataset:
     """Per-key session counts: a new session starts when the time since
     the previous event of the same key exceeds ``gap`` (in the unit of
@@ -72,7 +71,7 @@ def session_counts(
     # bounded-bucket co-location of the old salted sort-groupby, minus
     # its zero-schema empty bundles and per-group UDF calls
     cleaned = events.map_batches(strip_meta, batch_format="pyarrow")
-    return hash_group_blocks(cleaned, [key], bucket_sessions, num_partitions=n_buckets)
+    return hash_group_blocks(cleaned, [key], bucket_sessions)
 
 
 def assign_sessions(
@@ -81,12 +80,11 @@ def assign_sessions(
     ts: str = "ts",
     gap: int = 600_000_000,
     tie: str | None = None,
-    n_buckets: int | None = None,
     session_col: str = "session_id",
 ) -> ray.data.Dataset:
     """Per-event session ids: every input row plus a ``session_col``
-    numbering each key's sessions 0,1,2,... in time order.  Same salted
-    shuffle as :func:`session_counts`; the kernel stays one vectorized
+    numbering each key's sessions 0,1,2,... in time order.  Same
+    key-partitioned exchange as :func:`session_counts`; the kernel stays one vectorized
     pass (cumsum of session starts minus each key's base)."""
     sort_cols = [key, ts] + ([tie] if tie else [])
 
@@ -117,4 +115,4 @@ def assign_sessions(
         )
 
     cleaned = events.map_batches(strip_meta, batch_format="pyarrow")
-    return hash_group_blocks(cleaned, [key], bucket_assign, num_partitions=n_buckets)
+    return hash_group_blocks(cleaned, [key], bucket_assign)

@@ -16,16 +16,16 @@ the same semantics as fingerprint shuffles:
    consecutive positions.  Guarantee: any shared run of at least
    ``k + w - 1`` words shares an anchor, so no long duplicate is
    missed while the shuffled row count drops ~w-fold.
-2. ``duplicated_window_positions`` — a salted bucket groupby
-   (``fp % n_buckets``) marks every (doc, pos) whose fingerprint
-   occurs >= ``min_count`` times (optionally across >= 2 distinct
-   docs).  Distinct Ray groups are bounded by ``n_buckets``, never by
-   fingerprint cardinality; the per-bucket kernel is one lexsort +
-   reduceat pass over the whole bucket.
+2. ``duplicated_window_positions`` — a task exchange partitioned on
+   the fingerprint (util.hash_group_blocks) marks every (doc, pos)
+   whose fingerprint occurs >= ``min_count`` times (optionally across
+   >= 2 distinct docs).  Tasks are bounded by the exchange width,
+   never by fingerprint cardinality; the per-partition kernel is one
+   lexsort + reduceat pass over every fingerprint in the partition.
 3. ``merge_duplicate_spans`` — flagged positions merge into maximal
    per-doc intervals (vectorized gaps-and-islands: a key-offset trick
    makes one global ``np.maximum.accumulate`` serve every doc in the
-   bucket at once).
+   partition at once).
 4. ``cut_duplicate_spans`` — drop the flagged words from the text.
    Default is remove-all (duplicated boilerplate vanishes from every
    occurrence, the RefinedWeb reading of ExactSubstr);
@@ -40,9 +40,9 @@ small-scale oracle (`queries.q_substring_dedup`) verifies the whole
 chain against DuckDB string equality exactly.
 
 Partitioning assumptions: one fingerprint's occurrence list fits in
-its bucket's group (a fingerprint duplicated across half the corpus
-is stop-boilerplate; raise ``n_buckets`` or pre-filter such grams),
-and one doc's flagged positions fit in its key bucket.
+one partition, and so do one doc's flagged positions.  A wider
+exchange never splits one key's rows: a fingerprint duplicated across
+half the corpus is stop-boilerplate, so pre-filter such grams.
 """
 
 from __future__ import annotations
@@ -51,8 +51,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray
-
-from tilecloud_chain_ray.util import default_buckets
 
 # Horner base for the rolling window hash (FNV-1a's 64-bit prime);
 # uint64 arithmetic wraps mod 2^64.
@@ -158,12 +156,11 @@ def duplicated_window_positions(
     min_count: int = 2,
     cross_doc: bool = True,
     keep_first: bool = False,
-    n_buckets: int | None = None,
 ) -> ray.data.Dataset:
     """Keep the ``(key, pos)`` of every window whose fingerprint occurs
     >= ``min_count`` times (``cross_doc``: and in >= 2 distinct docs).
-    One salted shuffle; the kernel is a single lexsort + run-length
-    pass per bucket.
+    One task exchange on the fingerprint; the kernel is a single
+    lexsort + run-length pass per partition.
 
     ``keep_first`` elects the lexicographically-min ``(key, pos)``
     occurrence of each duplicated fingerprint as CANONICAL and does
@@ -171,11 +168,9 @@ def duplicated_window_positions(
     content standing.  Because the election is per-window by the same
     (key, pos) order, a run shared across documents stays fully intact
     in the min-key document (every one of its windows elects that doc)
-    — the canonical copy is never shredded.  All occurrences in a
-    bucket see the same fingerprint group, so the election needs no
-    extra shuffle."""
-    if n_buckets is None:
-        n_buckets = default_buckets()
+    — the canonical copy is never shredded.  All occurrences of a
+    fingerprint share one partition, so the election needs no extra
+    shuffle."""
 
     def bucket_dups(batch: pa.Table) -> pa.Table:
         """All fingerprint groups co-located in one hash partition
@@ -216,7 +211,7 @@ def duplicated_window_positions(
 
     from tilecloud_chain_ray.util import hash_group_blocks
 
-    return hash_group_blocks(fps, ["fp"], bucket_dups, num_partitions=n_buckets)
+    return hash_group_blocks(fps, ["fp"], bucket_dups)
 
 
 
@@ -225,13 +220,10 @@ def merge_duplicate_spans(
     dups: ray.data.Dataset,
     k: int,
     key_col: str = "doc_id",
-    n_buckets: int | None = None,
 ) -> ray.data.Dataset:
     """Merge flagged window positions into maximal per-doc word spans:
     ``(key, span_start, span_end)`` with ``span_end`` exclusive.  A
     position p covers [p, p+k); overlapping / touching covers fuse."""
-    if n_buckets is None:
-        n_buckets = default_buckets()
 
     def bucket_spans(batch: pa.Table) -> pa.Table:
         """Every doc co-located in one hash partition on ``key_col``
@@ -280,7 +272,7 @@ def merge_duplicate_spans(
 
     from tilecloud_chain_ray.util import hash_group_blocks
 
-    return hash_group_blocks(dups, [key_col], bucket_spans, num_partitions=n_buckets)
+    return hash_group_blocks(dups, [key_col], bucket_spans)
 
 
 def dedup_substring_spans(
@@ -292,7 +284,6 @@ def dedup_substring_spans(
     min_count: int = 2,
     cross_doc: bool = True,
     keep_first: bool = False,
-    n_buckets: int | None = None,
 ) -> ray.data.Dataset:
     """The composed operator: duplicated word spans per document.
     ``winnow=None`` fingerprints every position (exact: a span is
@@ -303,14 +294,9 @@ def dedup_substring_spans(
     content survives the cut."""
     fps = window_fingerprints(docs, key_col, text_col, k=k, winnow=winnow)
     dups = duplicated_window_positions(
-        fps,
-        key_col,
-        min_count=min_count,
-        cross_doc=cross_doc,
-        keep_first=keep_first,
-        n_buckets=n_buckets,
+        fps, key_col, min_count=min_count, cross_doc=cross_doc, keep_first=keep_first
     )
-    return merge_duplicate_spans(dups, k, key_col, n_buckets=n_buckets)
+    return merge_duplicate_spans(dups, k, key_col)
 
 
 def cut_duplicate_spans(
@@ -318,17 +304,13 @@ def cut_duplicate_spans(
     spans: ray.data.Dataset,
     key_col: str = "doc_id",
     text_col: str = "text",
-    n_buckets: int | None = None,
 ) -> ray.data.Dataset:
     """Remove every flagged span's words from ``text_col`` (remove-all
     semantics).  Spans pack to one compact string row per key (a
     bounded-width join payload — no Arrow list columns through the
-    shuffle), left-join onto the docs by bucketed hash join, then one
+    shuffle), left-join onto the docs by partitioned hash join, then one
     splice pass per batch."""
     from tilecloud_chain_ray.stages.join import hash_join
-
-    if n_buckets is None:
-        n_buckets = default_buckets()
 
     def pack(batch: pa.Table) -> pa.Table:
         # explicit Arrow types: an empty pandas object column would
@@ -356,8 +338,8 @@ def cut_duplicate_spans(
     # has zero duplicated spans (kernel runs once on a typed empty), so
     # the old empty-seed union — whose 0-row block turned into a
     # schema-less RefBundle inside the join's map stages — is gone
-    packed = hash_group_blocks(spans, [key_col], pack, num_partitions=n_buckets)
-    joined = hash_join(docs, packed, on=key_col, how="left", n_buckets=n_buckets)
+    packed = hash_group_blocks(spans, [key_col], pack)
+    joined = hash_join(docs, packed, on=key_col, how="left")
     return joined.map_batches(
         lambda b: splice_packed_spans(b, text_col), batch_format="pyarrow"
     )

@@ -79,14 +79,18 @@ def fits_driver(nbytes: int) -> bool:
 
 
 def exchange_width(in_bytes: int, num_partitions: int | None = None) -> int:
-    """Partition count of a task exchange over ``in_bytes`` of input:
-    ``num_partitions`` (default :func:`default_buckets`) raised to
+    """Partition count of a task exchange over ``in_bytes`` of input,
+    and the one place an exchange's width is decided: one partition per
+    cluster core (:func:`default_buckets`) raised to
     ``ceil(in_bytes / DataContext.target_max_block_size)``, so a merge
     task concatenates about one Ray Data target block (128 MiB) of
     input at most — provided the partition key has at least that many
     distinct values.  :func:`hash_group_blocks` sizes itself with it;
     a caller whose per-block combiner emits one row per salt value
-    (``stages/distinct``) sizes its salt with it too."""
+    (``stages/distinct``) sizes its salt with it too.  No operator
+    takes a width: ``num_partitions`` replaces the per-core count only
+    for a key of fixed cardinality (the distinct salt, the Bloom OR
+    tree's slots)."""
     import ray
 
     width = num_partitions or default_buckets()
@@ -312,8 +316,8 @@ def hash_group_blocks(ds, keys, kernel, num_partitions=None):
     and the driver drops empty outputs before ``from_arrow_refs``.
     Deterministic and retry-safe (stateless tasks).
 
-    Width: :func:`exchange_width` — ``num_partitions`` (default
-    :func:`default_buckets`, one partition per cluster core) raised to
+    Width: :func:`exchange_width` — one partition per cluster core
+    (``num_partitions`` only for a key of fixed cardinality) raised to
     ``ceil(input bytes / DataContext.target_max_block_size)``; the
     bytes are summed from the materialized block metadata, so sizing
     costs no extra pass.  A small input on a small cluster therefore
@@ -427,7 +431,7 @@ def hash_group_blocks(ds, keys, kernel, num_partitions=None):
     return ray.data.from_arrow_refs(keep)
 
 
-def exchange_aggregate(ds, keys, aggs, names, num_partitions=None):
+def exchange_aggregate(ds, keys, aggs, names):
     """Bounded-boilerplate grouped aggregate on :func:`hash_group_blocks`:
     one Acero ``group_by(keys).aggregate(aggs)`` kernel per non-empty
     hash partition (pyarrow puts the key columns first, then one column
@@ -447,4 +451,4 @@ def exchange_aggregate(ds, keys, aggs, names, num_partitions=None):
             return pa.table({})
         return t.group_by(list(keys)).aggregate(list(aggs)).rename_columns(list(names))
 
-    return hash_group_blocks(ds, list(keys), kernel, num_partitions)
+    return hash_group_blocks(ds, list(keys), kernel)
