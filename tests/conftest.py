@@ -60,3 +60,31 @@ def at_width():
             yield
 
     return pinned
+
+
+@pytest.fixture
+def count_executions():
+    """``with count_executions() as calls:`` records every Ray Data
+    execution started inside the block (one ``StreamingExecutor.execute``
+    call each: a ``materialize``, a consuming ``count``, ``take_all``,
+    ``to_arrow_refs``, a lazy ``schema()``...), so a test can pin how
+    many Dataset round trips an operator makes; ``len(calls)`` is the
+    count."""
+    import contextlib
+
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    @contextlib.contextmanager
+    def counting():
+        calls = []
+        execute = StreamingExecutor.execute
+
+        def counted(self, *args, **kwargs):
+            calls.append(self)
+            return execute(self, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(StreamingExecutor, "execute", counted)
+            yield calls
+
+    return counting

@@ -207,3 +207,38 @@ def test_connected_components_self_and_duplicate_pairs(cluster, on_cluster, at_w
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
     comp = dict(zip(got["key"], got["component"]))
     assert comp[5] == comp[7] == comp[9] == 5 and comp[11] == 11
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_near_dedup_survivors_driver_tail_has_no_dataset_hops(count_executions, on_cluster):
+    """A materialized pair table that fits the driver goes pairs ->
+    union-find -> drop set -> one broadcast filter with at most one Ray
+    Data execution before the result is consumed, and keeps the same
+    docs as the cluster placement (label propagation + Bloom anti-join)."""
+    import ray
+
+    from tilecloud_chain_ray.stages.components import near_dedup_survivors
+
+    rng = np.random.default_rng(29)
+    n = 1500
+    docs = ray.data.from_arrow(
+        pa.table({"doc_id": pa.array(rng.permutation(n).astype(np.int64)), "v": np.arange(n)})
+    ).repartition(3)
+    df = random_pairs(rng, n_nodes=n // 7, n_edges=120)
+    tbl = pa.Table.from_pandas(df, preserve_index=False).append_column(
+        "jaccard", pa.array(np.ones(len(df)))
+    )
+    # three blocks, one of them empty
+    pairs = ray.data.from_arrow([tbl.slice(0, 50), tbl.slice(50, 0), tbl.slice(50)]).materialize()
+
+    with count_executions() as calls:
+        survivors = near_dedup_survivors(docs, pairs)
+    assert len(calls) <= 1
+    got = sorted(r["doc_id"] for r in survivors.take_all())
+    with on_cluster():
+        want = sorted(r["doc_id"] for r in near_dedup_survivors(docs, pairs).take_all())
+    assert got == want
+
+    comp = oracle_components(df)
+    dropped = set(comp.loc[comp["key"] != comp["component"], "key"].tolist())
+    assert dropped and got == sorted(set(range(n)) - dropped)

@@ -131,7 +131,11 @@ def _anti_join_partitioned(
     so the output keeps the left schema's exact types and unions
     cleanly with the Bloom-cleared stream).  Duplicate right keys are
     harmless — the per-partition check is a set-membership ``is_in``."""
-    schema = flagged.schema()  # Ray Schema wrapper: .names / .types
+    # schema of the materialized residue (a lazy schema() runs the
+    # plan to its first block and cancels the rest): Ray Schema
+    # wrapper, .names / .types
+    flagged = flagged.materialize()
+    schema = flagged.schema()
     cols = list(schema.names)
     col_types = dict(zip(schema.names, schema.types))
     key_type = col_types[on]

@@ -159,6 +159,11 @@ def train_bpe(
     else:
         from tilecloud_chain_ray.stages.curation import hash_sample_rows
 
+        # pinned once: the schema comes from the materialized blocks
+        # (a lazy schema() runs the plan to its first block and cancels
+        # the rest), and the sample's count and filtered scans read
+        # the object store instead of re-running the upstream
+        ds = ds.materialize()
         if key_col not in ds.schema().names:
             key_col = "__text_key"
             ds = ds.map_batches(_text_key(text_col, key_col), batch_format="pyarrow")
@@ -238,9 +243,11 @@ def train_bpe_distributed(
         chars = sorted({c for w in batch["word"].to_pylist() for c in w})
         return pa.Table.from_pydict({"c": pa.array(chars, pa.string())})
 
+    # materialized first: to_arrow_refs() on a lazy dataset runs it a
+    # second time, to its first block, for the schema
     chars: set[str] = set()
     for t in ray.get(
-        words.map_batches(char_partial, batch_format="pyarrow").to_arrow_refs()
+        words.map_batches(char_partial, batch_format="pyarrow").materialize().to_arrow_refs()
     ):
         if "c" in t.schema.names:
             chars.update(t["c"].to_pylist())

@@ -16,9 +16,14 @@ Two placements with identical semantics, picked from the input by
 ``util.fits_driver`` (the engine's one driver-or-cluster rule; no
 caller option):
 
-* **driver union-find** — when the pair table (16 B/row) fits, a
-  single vectorized path-compressed union-find on the driver.  Near-dup pair tables are tiny relative to the corpus, so
-  this is the common case even at large scale.
+* **driver union-find** — when the pair table (16 B/row) fits, its
+  key columns are fetched once and a path-compressed union-find runs
+  on the driver.  ``near_dedup_survivors`` then takes the drop set
+  straight from the union-find's arrays and broadcasts it: pairs ->
+  drop set with no Dataset in between (each Dataset hop costs a fixed
+  ~10-40 ms, far more than union-finding a few hundred pairs).
+  Near-dup pair tables are tiny relative to the corpus, so this is
+  the common case even at large scale.
 * **distributed min-label propagation** — labels start as the node's
   own key and each round take the min over the 1-hop neighborhood
   (hash-join of the static message table against the current labels,
@@ -70,6 +75,19 @@ def _union_find_driver(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nda
     return nodes, nodes[roots]
 
 
+def _driver_pairs(
+    pairs: ray.data.Dataset, key_a: str, key_b: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """The two int64 key columns of a materialized pair table, fetched
+    to the driver once (block by block: a (0 rows, 0 cols) block from an
+    empty range upstream carries no key columns)."""
+    tbls = [t for t in ray.get(pairs.to_arrow_refs()) if t.num_rows]
+    return tuple(
+        np.concatenate([t[k].to_numpy(zero_copy_only=False) for t in tbls]).astype(np.int64)
+        for k in (key_a, key_b)
+    )
+
+
 def connected_components(
     pairs: ray.data.Dataset,
     key_a: str = "key_a",
@@ -82,7 +100,7 @@ def connected_components(
     callers treat absence as "own component" (see
     ``near_dedup_survivors``).
     """
-    pairs = pairs.select_columns([key_a, key_b]).materialize()
+    pairs = pairs.materialize()
     n_pairs = pairs.count()
     if n_pairs == 0:
         return ray.data.from_arrow(
@@ -90,12 +108,7 @@ def connected_components(
         )
 
     if fits_driver(n_pairs * 16):
-        # drop (0 rows, 0 cols) blocks (empty sort ranges upstream) —
-        # concat_tables rejects the zero-column schema otherwise
-        tbl = pa.concat_tables([t for t in ray.get(pairs.to_arrow_refs()) if t.num_rows])
-        a = tbl[key_a].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = tbl[key_b].to_numpy(zero_copy_only=False).astype(np.int64)
-        nodes, comp = _union_find_driver(a, b)
+        nodes, comp = _union_find_driver(*_driver_pairs(pairs, key_a, key_b))
         return ray.data.from_arrow(
             pa.table({"key": pa.array(nodes, pa.int64()), "component": pa.array(comp, pa.int64())})
         )
@@ -178,20 +191,30 @@ def near_dedup_survivors(
     not in any cluster.
 
     The drop set (cluster members that are not their component's min)
-    is proportional to the DUPLICATE universe, not the corpus.  While
-    it fits :func:`~tilecloud_chain_ray.util.fits_driver` (8 B/key) it
-    is broadcast once via ``ray.put`` and each batch filters with a
-    sorted searchsorted; beyond that it routes through the exact Bloom anti-join
-    (stages/bloom.py) — bitmap broadcast + distributed residue, never
-    a driver-sized key set.
+    is proportional to the DUPLICATE universe, not the corpus.  When
+    the pair table fits :func:`~tilecloud_chain_ray.util.fits_driver`
+    (16 B/pair) the driver union-finds it and takes the drop set
+    straight from its arrays — at most two 8 B keys a pair, so it fits
+    too.  Otherwise the components come from label propagation and the
+    drop set is broadcast while it fits (8 B/key), else it routes
+    through the exact Bloom anti-join (stages/bloom.py) — bitmap
+    broadcast + distributed residue, never a driver-sized key set.
     """
-    comp = connected_components(pairs).materialize()
+    pairs = pairs.materialize()
+    n_pairs = pairs.count()
+    if n_pairs == 0:
+        return docs
+    if fits_driver(n_pairs * 16):
+        nodes, comp = _union_find_driver(*_driver_pairs(pairs, "key_a", "key_b"))
+        # nodes come sorted from np.unique, so the drop set is too
+        return _drop_sorted(docs, nodes[nodes != comp], key_col)
 
     def dropped(batch: pa.Table) -> pa.Table:
         keys = batch["key"].to_numpy(zero_copy_only=False)
         cs = batch["component"].to_numpy(zero_copy_only=False)
         return pa.table({"drop_key": pa.array(keys[keys != cs], pa.int64())})
 
+    comp = connected_components(pairs)
     drop_ds = comp.map_batches(dropped, batch_format="pyarrow").materialize()
     n_drop = drop_ds.count()
     if n_drop == 0:
@@ -210,7 +233,16 @@ def near_dedup_survivors(
         ]
         or [np.array([], dtype=np.int64)]
     )
-    drop_ref = ray.put(np.sort(drop_keys))
+    return _drop_sorted(docs, np.sort(drop_keys), key_col)
+
+
+def _drop_sorted(docs: ray.data.Dataset, drops: np.ndarray, key_col: str) -> ray.data.Dataset:
+    """``docs`` without the rows whose key is in the sorted ``drops``,
+    broadcast once via ``ray.put``; each batch filters with one
+    searchsorted."""
+    if len(drops) == 0:
+        return docs
+    drop_ref = ray.put(drops)
 
     def keep(batch: pa.Table) -> pa.Table:
         drops = ray.get(drop_ref)

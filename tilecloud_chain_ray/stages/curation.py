@@ -178,9 +178,11 @@ def hash_sample_rows(
                 "__h", pa.array(h[h < thr], pa.int64())
             )
 
+        # materialized first: to_arrow_refs() on a lazy dataset runs it a
+        # second time, to its first block, for the schema
         parts = [
             t
-            for t in ds.map_batches(keep, batch_format="pyarrow").to_arrow_refs()
+            for t in ds.map_batches(keep, batch_format="pyarrow").materialize().to_arrow_refs()
         ]
         tbls = [t for t in ray.get(parts) if "__h" in t.schema.names]
         return (
@@ -466,7 +468,9 @@ def weighted_sample(
             }
         )
 
-    refs = ds.map_batches(local_topk, batch_format="pyarrow").to_arrow_refs()
+    # materialized first: to_arrow_refs() on a lazy dataset runs it a
+    # second time, to its first block, for the schema
+    refs = ds.map_batches(local_topk, batch_format="pyarrow").materialize().to_arrow_refs()
     empty = pa.table(
         {
             key_col: pa.array([], pa.int64()),

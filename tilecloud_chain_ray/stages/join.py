@@ -125,7 +125,11 @@ def hash_join(
         return _skew_join(left, right, on, how, suffixes, skew_keys)
 
     # union of tagged sides: schemas differ -> pad each side with the
-    # other side's columns as nulls so the union has one schema
+    # other side's columns as nulls so the union has one schema.  Only
+    # a materialized side is asked for its schema (the exchange
+    # materializes its input anyway): schema() on a lazy dataset runs
+    # its plan to the first block and cancels the tasks still in flight
+    left, right = left.materialize(), right.materialize()
     left_schema, right_schema = left.schema(), right.schema()
     left_cols = [c for c in left_schema.names if c != on]
     right_cols = [c for c in right_schema.names if c != on]
@@ -327,6 +331,8 @@ def asof_join(
     assumption; salt by time range when a single key's history is huge.
     """
 
+    # schemas from materialized sides only, as in hash_join
+    left, right = left.materialize(), right.materialize()
     left_schema = left.schema()
     left_cols = [c for c in left_schema.names if c not in (key, ts)]
     # The null-padded union makes every left column nullable, so pandas

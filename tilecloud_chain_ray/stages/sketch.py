@@ -338,7 +338,10 @@ def heavy_hitters(
             }
         )
 
-    parts = ray.get(ds.map_batches(sketch_batch, batch_format="pyarrow").to_arrow_refs())
+    # materialized first: to_arrow_refs() on a lazy dataset runs it a
+    # second time, to its first block, for the schema
+    sketches = ds.map_batches(sketch_batch, batch_format="pyarrow").materialize()
+    parts = ray.get(sketches.to_arrow_refs())
     # Ray passes empty input blocks through without running the UDF —
     # keep only blocks carrying the sketch schema
     parts = [t for t in parts if "keys" in t.schema.names]

@@ -28,16 +28,66 @@ LANG_MARKERS: dict[str, tuple[str, ...]] = {
 }
 
 
+def _byte_counts(col, mark) -> pa.ChunkedArray:
+    """Per-row int64 count of the UTF-8 data bytes that ``mark`` flags.
+
+    ``mark`` maps a row range's ``uint8`` data to a bool flag per byte.
+    One numpy pass over each chunk's offsets and data buffers (only the
+    bytes the chunk's rows span, so a sliced batch does not rescan its
+    parent block); null rows stay null.  An ASCII byte class counts
+    exactly this way: every byte of a multibyte UTF-8 character is
+    >= 0x80.
+    """
+    chunks = col.chunks if isinstance(col, pa.ChunkedArray) else [col]
+    out = []
+    for arr in filter(len, chunks):
+        # offsets' own width bounds a row's byte length, so its count too
+        width = np.dtype(np.int64 if pa.types.is_large_string(arr.type) else np.int32)
+        _, offsets, data = arr.buffers()
+        offsets = np.frombuffer(offsets, width, len(arr) + 1, arr.offset * width.itemsize)
+        first, last = int(offsets[0]), int(offsets[-1])
+        data = np.frombuffer(data, np.uint8)[first:last] if last > first else np.empty(0, np.uint8)
+        # one False past the end: every offset, the last row's end
+        # included, then indexes the flags
+        flags = np.append(mark(data), False).view(np.uint8)
+        bounds = (offsets - first).astype(np.intp)
+        n = np.add.reduceat(flags, bounds, dtype=width)[:-1]
+        n[bounds[1:] == bounds[:-1]] = 0  # reduceat gives flags[i] for an empty range
+        mask = arr.is_null().to_numpy(zero_copy_only=False) if arr.null_count else None
+        out.append(pa.array(n, pa.int64(), mask=mask))
+    return pa.chunked_array(out, pa.int64())
+
+
+def _space_run_starts(data: np.ndarray) -> np.ndarray:
+    """First byte of each run of RE2 ``\\s`` bytes: [\\t\\n\\f\\r ], not \\v."""
+    space = data == ord(" ")
+    tab = data - np.uint8(ord("\t"))  # \t \n \v \f \r are 9..13
+    space |= (tab < 5) & (tab != 2)
+    starts = space.copy()
+    starts[1:] &= ~space[:-1]
+    return starts
+
+
+def _is_upper(data: np.ndarray) -> np.ndarray:
+    return data - np.uint8(ord("A")) < 26
+
+
+def _is_digit(data: np.ndarray) -> np.ndarray:
+    return data - np.uint8(ord("0")) < 10
+
+
 def token_count_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
     """Append ``n_tokens``: whitespace-separated chunks of trimmed text.
 
     SQL equivalent: ``len(regexp_split_to_array(trim(text), '\\s+'))``.
+
+    Counted from the UTF-8 bytes, not by building the split: a trimmed
+    text never starts or ends with a ``\\s`` byte, so its chunk count is
+    the number of ``\\s`` runs inside it plus one (empty text -> [''],
+    1 element, in both arrow and duckdb semantics).
     """
     trimmed = pc.utf8_trim_whitespace(batch[text_col])
-    splits = pc.split_pattern_regex(trimmed, r"\s+")
-    n = pc.list_value_length(splits).cast(pa.int64())
-    # empty text -> [''] (1 element) in both arrow and duckdb semantics
-    return batch.append_column("n_tokens", n)
+    return batch.append_column("n_tokens", pc.add(_byte_counts(trimmed, _space_run_starts), 1))
 
 
 # GPT-2-style pretokenizer shape, ASCII-simplified so python re, Arrow
@@ -91,8 +141,8 @@ def quality_score_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
         batch = token_count_batch(batch, text_col)
     text = batch[text_col]
     n_chars = pc.utf8_length(text).cast(pa.int64())
-    n_upper = pc.count_substring_regex(text, "[A-Z]").cast(pa.int64())
-    n_digit = pc.count_substring_regex(text, "[0-9]").cast(pa.int64())
+    n_upper = _byte_counts(text, _is_upper)
+    n_digit = _byte_counts(text, _is_digit)
     nt = batch["n_tokens"].to_numpy(zero_copy_only=False).astype(np.float64)
     nc = n_chars.to_numpy(zero_copy_only=False).astype(np.float64)
     nu = n_upper.to_numpy(zero_copy_only=False).astype(np.float64)
