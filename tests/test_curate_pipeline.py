@@ -89,6 +89,64 @@ def test_curate_corpus_near_dedup():
     assert len(dropped) > 0  # the fixture contains near-dups
 
 
+@pytest.mark.parametrize("cluster", [False, True])
+def test_curate_near_dedup_one_execution_before_consumption(count_executions, on_cluster, cluster):
+    """The read chain is the only Ray Data execution before the caller
+    consumes the near-dedup survivors on the driver placement (exact
+    dedup, banding, candidates, verify and union-find run on block
+    refs), and both placements keep the manual pairs -> components ->
+    min-key survivors."""
+    import contextlib
+
+    from tilecloud_chain_ray.stages.components import connected_components
+    from tilecloud_chain_ray.stages.dedup import minhash_dedup_pairs
+
+    docs = ray.data.read_parquet(
+        os.path.join(SF_DIR, "documents.parquet"), columns=["doc_id", "lang", "text"]
+    ).materialize()
+    exact_df = curate_corpus(docs, quality_min=0.0).survivors.to_pandas()
+    pairs = minhash_dedup_pairs(ray.data.from_pandas(exact_df), threshold=0.8)
+    comp = connected_components(pairs).to_pandas()
+    dropped = set(comp.loc[comp["key"] != comp["component"], "key"])
+    assert dropped
+
+    with on_cluster() if cluster else contextlib.nullcontext():
+        with count_executions() as calls:
+            near = curate_corpus(docs, quality_min=0.0, near_dedup_threshold=0.8)
+        before = len(calls)
+        got = set(near.survivors.to_pandas()["doc_id"])
+    if not cluster:
+        assert before == 1
+    assert got == set(exact_df["doc_id"]) - dropped
+
+
+def test_exact_dedup_spreads_over_a_wide_exchange(at_width):
+    """The exact-dedup exchange partitions on the content md5, not on
+    the 256-valued ``_bucket`` tag: at width 512, 1,000+ distinct texts
+    fill more than 256 partitions, with the survivors of width 1."""
+    import pyarrow as pa
+
+    rng = np.random.default_rng(5)
+    picks = rng.permutation(np.concatenate([np.arange(1200), rng.integers(0, 1200, 300)]))
+    n = len(picks)
+    docs = ray.data.from_arrow(
+        pa.table(
+            {
+                "doc_id": pa.array(rng.permutation(n), pa.int64()),
+                "lang": [("de", "en", "fr")[p % 3] for p in picks],
+                "text": [f"page number {p} of the wide exchange test" for p in picks],
+            }
+        )
+    ).materialize()
+    outs = {}
+    for width in (1, 512):
+        with at_width(width):
+            outs[width] = curate_corpus(docs, quality_min=0.0).survivors.materialize()
+    assert outs[512].num_blocks() > 256
+    ids = {w: sorted(outs[w].to_pandas()["doc_id"]) for w in outs}
+    assert ids[1] == ids[512] and len(ids[1]) == 1200
+
+
 def test_curate_corpus_substring_cut():
     """Opt-in ExactSubstr pass: curate(substring_k=8) equals running
     the span cut manually first, then the plain chain — boilerplate

@@ -295,14 +295,15 @@ def test_byte_floor_spreads_rows_on_one_cpu(ray_session, monkeypatch, case):
     run, expected = case()
     monkeypatch.setattr(util, "DRIVER_MAX_BYTES", 0)  # the bloom residue on the cluster
     outputs: list = []
-    orig = util.hash_group_blocks
+    orig = util.exchange_refs
 
-    def spy(ds, keys, kernel, num_partitions=None):
-        out = orig(ds, keys, kernel, num_partitions)
-        outputs.append(len(out.to_arrow_refs()))  # one block per non-empty partition
-        return out
+    def spy(refs, keys, kernel, in_bytes, num_partitions=None):
+        out_refs, rows = orig(refs, keys, kernel, in_bytes, num_partitions)
+        outputs.append(len(out_refs))  # one ref per non-empty partition
+        return out_refs, rows
 
-    monkeypatch.setattr(util, "hash_group_blocks", spy)
+    # every exchange, on Datasets (hash_group_blocks) or on refs, runs here
+    monkeypatch.setattr(util, "exchange_refs", spy)
     monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 1.0})
     ctx = ray.data.DataContext.get_current()
     monkeypatch.setattr(ctx, "target_max_block_size", 64 << 10)

@@ -1,11 +1,12 @@
-"""Operators ask only a materialized dataset for its schema.
+"""Operators ask only a materialized dataset for its schema or a row.
 
-``Dataset.schema()`` on a lazy dataset runs the plan until its first
-block and cancels the tasks still in flight; a task reply that races
-such a cancellation can trip a fatal check in Ray's core worker and
-kill the driver.  Here ``Dataset.schema`` fails on any dataset that is
-not materialized, and the operators that need a schema run on lazy
-inputs through it."""
+``Dataset.schema()`` or ``Dataset.take()`` on a lazy dataset runs the
+plan until its first block and cancels the tasks still in flight; a
+task reply that races such a cancellation can trip a fatal check in
+Ray's core worker and kill the driver.  Here ``Dataset.schema`` and
+``Dataset.take`` fail on any dataset that is not materialized, and the
+operators that need a schema or a first row run on lazy inputs through
+them."""
 
 import numpy as np
 import pyarrow as pa
@@ -27,6 +28,23 @@ def materialized_schema_only():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Dataset, "schema", guarded)
+        yield
+
+
+@pytest.fixture
+def materialized_take_only():
+    from ray.data import Dataset
+    from ray.data.dataset import MaterializedDataset
+
+    take = Dataset.take
+
+    def guarded(self, *args, **kwargs):
+        if not isinstance(self, MaterializedDataset):
+            raise AssertionError("take() asked of a lazy dataset")
+        return take(self, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Dataset, "take", guarded)
         yield
 
 
@@ -94,3 +112,25 @@ def test_train_bpe_on_lazy_input(with_key):
     got = train_bpe(lazy(tbl), num_merges=20, sample_max_docs=40)
     ref = train_bpe(ray.data.from_arrow(tbl), num_merges=20, sample_max_docs=40)
     assert got.merges == ref.merges and len(got.merges) > 0
+
+
+@pytest.mark.usefixtures("ray_session", "materialized_take_only")
+def test_embedding_near_dup_on_lazy_input():
+    from tilecloud_chain_ray.stages.dedup import embedding_near_dup
+
+    rng = np.random.default_rng(8)
+    base = rng.standard_normal((120, 16))
+    vecs = np.concatenate([base, base[:30] + 1e-4 * rng.standard_normal((30, 16))])
+    tbl = pa.table(
+        {
+            "vec_id": pa.array(np.arange(len(vecs)), pa.int64()),
+            "embedding": pa.FixedSizeListArray.from_arrays(pa.array(vecs.ravel()), 16),
+        }
+    )
+
+    def pairs(ds):
+        return sorted((r["key_a"], r["key_b"]) for r in embedding_near_dup(ds).take_all())
+
+    got = pairs(lazy(tbl))
+    assert got == pairs(ray.data.from_arrow(tbl).materialize())
+    assert {(i, 120 + i) for i in range(30)} <= set(got)

@@ -168,7 +168,9 @@ def test_null_text_fails_the_near_dedup_paths():
         dd.minhash_dedup_pairs(docs).materialize()
     # both verify placements refuse it too
     with pytest.raises(ValueError, match="'text'"):
-        dd._needed_shingle_index(docs, "doc_id", "text", np.array([0, 2]))
+        dd._pair_jaccard_refs(
+            docs.materialize().to_arrow_refs(), "doc_id", "text", np.array([0]), np.array([2])
+        )
     with pytest.raises(Exception, match="'text'"):
         dd.shingle_sig_table(docs).materialize()
 

@@ -230,7 +230,7 @@ def test_minhash_verify_placed_by_candidate_universe(monkeypatch):
     ).count()
     assert n_cand > 0
     placed = []
-    orig_driver, orig_cluster = dd._needed_shingle_index, dd._verify_pairs_distributed
+    orig_driver, orig_cluster = dd._pair_jaccard_refs, dd._verify_pairs_distributed
 
     def driver(*a, **k):
         placed.append("driver")
@@ -240,7 +240,7 @@ def test_minhash_verify_placed_by_candidate_universe(monkeypatch):
         placed.append("cluster")
         return orig_cluster(*a, **k)
 
-    monkeypatch.setattr(dd, "_needed_shingle_index", driver)
+    monkeypatch.setattr(dd, "_pair_jaccard_refs", driver)
     monkeypatch.setattr(dd, "_verify_pairs_distributed", cluster)
     results = []
     for limit in (n_cand * 2 * 4096, n_cand * 2 * 4096 - 1):

@@ -1,15 +1,17 @@
 """Source width sizing: ``sources.pages.read_pages`` reads a local page
-table with ``util.exchange_width`` of its on-disk bytes (one read task
-per cluster core, raised per ``DataContext.target_max_block_size``),
-while ``util.read_parquet_clean`` keeps Ray's own read width.  The
+table into ``util.exchange_width`` of its on-disk bytes (one block per
+cluster core, raised per ``DataContext.target_max_block_size``) by file
+group, with no Parquet sampling task and no ``strip_meta`` map, while
+``util.read_parquet_clean`` keeps Ray's own read width.  The
 enumeration sources cut their interval tables on the driver into one
 block per core, raised per ``enumerate.BLOCK_UNIT`` of work and balanced
 by coord count, with no repartition; ``generate_tiles`` renders each of
 those blocks as its own task.  Tile output is the same at any width.
 
 Widths are checked through public surfaces only: the keywords handed to
-``ray.data.read_parquet``, ``num_blocks()`` of a materialized Dataset,
-the blocks behind ``to_arrow_refs()`` and the plan string.
+``ray.data.read_parquet`` (where it still reads), ``num_blocks()`` of a
+materialized Dataset, the blocks behind ``to_arrow_refs()`` and the
+plan string.
 """
 
 from __future__ import annotations
@@ -74,15 +76,32 @@ def parquet_dir(tmp_path_factory) -> tuple[str, int]:
     return str(d), nbytes
 
 
+@pytest.fixture
+def schema_reads(monkeypatch) -> list[str]:
+    """Paths of every ``pq.read_schema`` call (the read still runs)."""
+    calls: list[str] = []
+    real = pq.read_schema
+
+    def spy(path, *args, **kwargs):
+        calls.append(path)
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(pq, "read_schema", spy)
+    return calls
+
+
 @pytest.mark.parametrize("cpus", [1, 4, 64])
-def test_page_read_width_follows_cores(ray_session, monkeypatch, read_calls, parquet_dir, cpus):
+def test_page_read_width_follows_cores(
+    ray_session, monkeypatch, read_calls, schema_reads, parquet_dir, cpus
+):
     path, nbytes = parquet_dir
     _mock_cpus(monkeypatch, cpus)
     assert exchange_width(nbytes) == cpus  # a sub-MiB input: the core count alone
     ds = read_pages(path).materialize()
-    assert [c["override_num_blocks"] for c in read_calls] == [cpus]
-    assert read_calls[0]["schema"].names == ["k", "v"]  # listed once, handed on
-    assert ds.num_blocks() == cpus  # Ray splits per-file reads up to the width
+    assert len(schema_reads) == 1  # listed once, handed on
+    assert ds.schema().names == ["k", "v"]
+    assert read_calls == []  # read by file group, not ray.data.read_parquet
+    assert ds.num_blocks() == cpus  # with more cores than files, tasks yield slices
     assert ds.count() == N_FILES * 2000
 
 
@@ -93,8 +112,62 @@ def test_page_read_width_rises_with_bytes(ray_session, monkeypatch, read_calls, 
     monkeypatch.setattr(ray.data.DataContext.get_current(), "target_max_block_size", target)
     expected = -(-nbytes // target)
     assert 1 < expected < N_FILES
-    assert read_pages(path, columns=["k"]).count() == N_FILES * 2000
-    assert [c["override_num_blocks"] for c in read_calls] == [expected]
+    ds = read_pages(path, columns=["k"]).materialize()
+    assert ds.num_blocks() == expected and ds.count() == N_FILES * 2000
+    assert read_calls == []
+
+
+@pytest.mark.parametrize("cpus", [1, 4, 64])
+def test_page_read_rows_equal_pyarrow(ray_session, monkeypatch, parquet_dir, cpus):
+    """Rows and their order are the files' own, read one after another."""
+    path, _ = parquet_dir
+    _mock_cpus(monkeypatch, cpus)
+    want = pa.concat_tables(
+        [pq.read_table(os.path.join(path, f), columns=["v", "k"]) for f in sorted(os.listdir(path))]
+    )
+    got = pa.concat_tables(ray.get(read_pages(path, columns=["v", "k"]).to_arrow_refs()))
+    assert got.equals(want)
+
+
+def test_page_read_blocks_stay_within_target(ray_session, monkeypatch, tmp_path):
+    """A group whose rows outgrow the block target (compressible text:
+    small on disk, large in memory) is yielded in slices within it, and
+    the pandas schema metadata of the files is dropped."""
+    import pandas as pd
+
+    for i in range(3):
+        df = pd.DataFrame({"k": np.arange(20000) + 20000 * i, "s": ["abc" * 10] * 20000})
+        pq.write_table(pa.Table.from_pandas(df), str(tmp_path / f"p{i}.parquet"))
+    _mock_cpus(monkeypatch, 1)
+    target = 64 << 10
+    monkeypatch.setattr(ray.data.DataContext.get_current(), "target_max_block_size", target)
+    ds = read_pages(str(tmp_path)).materialize()
+    blocks = ray.get(ds.to_arrow_refs())
+    assert len(blocks) > 3 and max(b.nbytes for b in blocks) <= target
+    assert all(b.schema.metadata is None for b in blocks)
+    assert pa.concat_tables(blocks)["k"].to_pylist() == list(range(60000))
+
+
+def test_page_read_plan_starts_no_task(ray_session, monkeypatch, parquet_dir):
+    """Building the read plan submits no Ray task (Ray's Parquet reader
+    samples files in tasks), and the plan has no ``strip_meta`` map."""
+    from ray.remote_function import RemoteFunction
+
+    path, _ = parquet_dir
+    _mock_cpus(monkeypatch, 4)
+    submitted: list[str] = []
+    real = RemoteFunction._remote
+
+    def spy(self, *args, **kwargs):
+        submitted.append(self._function_name)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(RemoteFunction, "_remote", spy)
+    ds = read_pages(path, columns=["k"])
+    assert submitted == []
+    monkeypatch.setattr(RemoteFunction, "_remote", real)
+    ds = ds.materialize()
+    assert "strip_meta" not in ds.stats() and "ReadPageFiles" in ds.stats()
 
 
 def test_page_read_of_partitioned_dir_is_sized(ray_session, monkeypatch, read_calls, tmp_path):

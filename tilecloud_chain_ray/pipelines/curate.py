@@ -7,8 +7,10 @@ chain a 100-TB pretraining pass runs:
     -> rule filters (quality floor, repetition ceiling)
     -> benchmark decontamination (broadcast eval shingle set)
     -> deterministic hash sampling (resumable, layout-independent)
-    -> exact content dedup (one task exchange on the md5 bucket tag,
-       min-key survivor)
+    -> exact content dedup (one task exchange on the content md5,
+       min-key survivor, run on block refs)
+    -> optional MinHash near-dedup on the same refs
+       (stages/components.near_dedup_refs)
     -> write partitioned Parquet (one directory per stratum — a
        consumption layout, not a resume unit; the checkpointed,
        kill-and-resume variant of this chain is
@@ -18,10 +20,13 @@ chain a 100-TB pretraining pass runs:
        survivors' narrow (group, order, weight) projection.
 
 Scale notes: the only corpus-wide shuffle is the dedup exchange,
-partitioned on the ``DEDUP_BUCKETS``-valued ``_bucket`` tag derived
-from the content md5 (never one Ray group per distinct md5 — see
-BASELINE.md's dedup ledger); every filter is fused into one
-``map_batches`` pass over the text so bytes are read once.
+hash-partitioned on the content md5 itself, so it spreads over any
+exchange width (never one Ray group per distinct md5 — see BASELINE.md's
+dedup ledger); every filter is fused into one ``map_batches`` pass over
+the text so bytes are read once.  The exchange and the near-dedup tail
+hand block refs on (``util.exchange_refs``): the read chain runs as one
+Ray Data execution, and the caller's consumption of ``survivors`` is
+the second.
 
 ExactSubstr span cutting (``substring_k``, stages/substring_dedup.py)
 opts in ahead of the whole chain so every downstream stat sees
@@ -51,12 +56,14 @@ from tilecloud_chain_ray.stages.curation import (
     repetition_fraction_batch,
 )
 from tilecloud_chain_ray.stages.text import quality_score_batch, token_count_batch
-from tilecloud_chain_ray.util import hash_group_blocks, read_parquet_clean
+from tilecloud_chain_ray.util import block_refs, exchange_refs, read_parquet_clean
 
 
 # Dedup-bucket count.  The bucket id is COMMITTED in curate_resumable's
-# partials, so it is a constant, never cluster-sized: mixed counts across
-# resume attempts would split identical md5s into different buckets.
+# partials, so it is a constant, never cluster-sized.  No exchange
+# partitions on it any more (256 values cap an exchange at 256 non-empty
+# partitions); it stays in the partials so existing job directories
+# still resume.
 DEDUP_BUCKETS = 256
 
 
@@ -110,9 +117,9 @@ def make_dedup_partition(key_col: str):
     """Exact-dedup kernel for the task exchange: min-key survivor per
     content md5 over one hash partition (deterministic no matter the
     block layout).  md5 groups never straddle partitions (the partition
-    key IS the md5-derived bucket), so keeping the first row of each
-    md5 run after an (md5, key) sort is exact no matter how many
-    buckets co-locate in a partition."""
+    key IS the md5), so keeping the first row of each md5 run after an
+    (md5, key) sort is exact no matter how many md5s co-locate in a
+    partition."""
 
     def dedup_partition(batch: pa.Table) -> pa.Table:
         tags = [c for c in ("content_md5", "_bucket") if c in batch.column_names]
@@ -124,6 +131,16 @@ def make_dedup_partition(key_col: str):
         return batch.filter(first).drop_columns(tags)
 
     return dedup_partition
+
+
+def exact_dedup_refs(tagged: ray.data.Dataset, key_col: str) -> tuple[list, list[int]]:
+    """Exact content dedup of md5-tagged rows (:func:`make_md5_bucket`)
+    as ``(refs, rows)`` of the survivor blocks: ``tagged`` materializes
+    once and one task exchange hash-partitioned on ``content_md5`` keeps
+    the min key per md5 (:func:`make_dedup_partition`).  Shared by
+    curate_corpus and curate_resumable's phase 2."""
+    refs, _, nbytes = block_refs(tagged.materialize())
+    return exchange_refs(refs, ["content_md5"], make_dedup_partition(key_col), nbytes)
 
 
 def curate_corpus(
@@ -235,16 +252,12 @@ def curate_corpus(
         )
 
     # exact content dedup: one task exchange of the surviving rows on
-    # their md5 bucket tag; survivor per md5 = min key (deterministic,
-    # layout-free)
-    dedup_partition = make_dedup_partition(key_col)
-
-    tagged = filtered.map_batches(
-        make_md5_bucket(text_col), batch_format="pyarrow"
+    # their content md5; survivor per md5 = min key (deterministic,
+    # layout-free).  Its output stays block refs, which the near-dedup
+    # tail starts from with no Dataset in between.
+    refs, rows = exact_dedup_refs(
+        filtered.map_batches(make_md5_bucket(text_col), batch_format="pyarrow"), key_col
     )
-    # a task exchange, not a sort-groupby: no zero-schema empty
-    # bundles at scale and no per-group UDF calls
-    survivors = hash_group_blocks(tagged, ["_bucket"], dedup_partition)
 
     if embeddings is not None:
         from tilecloud_chain_ray.stages.bloom import bloom_anti_join
@@ -262,18 +275,16 @@ def curate_corpus(
             batch_format="pyarrow",
         )
         survivors = bloom_anti_join(
-            survivors, drops, on=key_col, right_key_col=embedding_key_col
+            ray.data.from_arrow_refs(refs), drops, on=key_col, right_key_col=embedding_key_col
         )
+        refs, rows, _ = block_refs(survivors.materialize())
 
     if near_dedup_threshold is not None:
-        from tilecloud_chain_ray.stages.components import near_dedup_survivors
-        from tilecloud_chain_ray.stages.dedup import minhash_dedup_pairs
+        from tilecloud_chain_ray.stages.components import near_dedup_refs
 
-        survivors = survivors.materialize()  # pairs + filter share one pass
-        pairs = minhash_dedup_pairs(
-            survivors, key_col=key_col, text_col=text_col, threshold=near_dedup_threshold
-        )
-        survivors = near_dedup_survivors(survivors, pairs, key_col=key_col)
+        survivors = near_dedup_refs(refs, sum(rows), key_col, text_col, near_dedup_threshold)
+    else:
+        survivors = ray.data.from_arrow_refs(refs)
 
     if out_dir is not None:
         survivors.write_parquet(out_dir, partition_cols=[group_col])

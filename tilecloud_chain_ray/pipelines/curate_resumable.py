@@ -28,19 +28,21 @@ redone, failed work re-runs, commits are atomic renames):
   make_md5_bucket), so streaming and checkpointed runs cannot diverge.
 
 * **Phase 2 (cheap, deterministic, recomputed on resume)**: read the
-  committed partials of the current shards, run the exact-dedup shuffle
-  on the committed ``_bucket`` tag (min-key survivor — independent of
-  which attempt committed which shard), rewrite the group-partitioned
+  committed partials of the current shards, run the exact-dedup
+  exchange on the committed ``content_md5`` (min-key survivor —
+  independent of which attempt committed which shard, and of the
+  cluster's width) and the optional near-dedup tail, both shared with
+  curate_corpus, rewrite the group-partitioned
   corpus, optionally pack shards.  Idempotent given phase-1 output;
   the corpus directory is wiped before the rewrite so a crash inside
   phase 2 cannot leave doubled partitions (output dirs are
   append-on-rewrite).
 
-The dedup shuffle itself is deliberately NOT checkpointed: phase-1
-output is a narrow projection (no raw html), and the shuffle is one
-bounded salted groupby — re-running it on resume costs minutes at
-100 TB, versus re-reading and re-scoring the raw corpus which costs
-hours and is what phase 1 amortizes.
+The dedup exchange itself is deliberately NOT checkpointed: phase-1
+output is a narrow projection (no raw html), and the exchange is one
+task exchange on the content md5 — re-running it on resume costs
+minutes at 100 TB, versus re-reading and re-scoring the raw corpus
+which costs hours and is what phase 1 amortizes.
 """
 
 from __future__ import annotations
@@ -52,16 +54,17 @@ from typing import Sequence
 
 import pyarrow as pa
 import pyarrow.parquet as pq
+import ray
 
 from tilecloud_chain_ray.pipelines.curate import (
     CurateResult,
+    exact_dedup_refs,
     make_analyze_filter,
-    make_dedup_partition,
     make_md5_bucket,
 )
 from tilecloud_chain_ray.sinks import lineage as lin
 from tilecloud_chain_ray.stages.curation import contaminated_mask, hash_sample_mask
-from tilecloud_chain_ray.util import hash_group_blocks, read_parquet_clean
+from tilecloud_chain_ray.util import read_parquet_clean
 
 
 def _cut_with_committed_spans(
@@ -219,24 +222,21 @@ def curate_resumable(
     # the CURRENT shard list, so stale partials from removed shards
     # cannot leak into the corpus.
     partials = read_parquet_clean([lin.part_path(partials_dir, sid) for sid in sorted(sids)])
-    # round 5: same task exchange as the non-resumable curate — the
-    # COMMITTED _bucket tag is the partition key, so resume attempts
-    # with different cluster widths still co-locate identical md5s
-    survivors = hash_group_blocks(partials, ["_bucket"], make_dedup_partition(key_col))
+    # the same exchange as the non-resumable curate, partitioned on the
+    # COMMITTED content md5, so resume attempts with different cluster
+    # widths still co-locate identical texts
+    refs, rows = exact_dedup_refs(partials, key_col)
     if near_dedup_threshold is not None:
         # near-dedup rides phase 2's recompute-on-resume model: pairs,
         # clustering and the min-key survivor rule are all deterministic
         # functions of the committed phase-1 partials, so a resumed run
         # reproduces the same drop set without checkpointing the pairs
         # (same rationale as not checkpointing the dedup shuffle).
-        from tilecloud_chain_ray.stages.components import near_dedup_survivors
-        from tilecloud_chain_ray.stages.dedup import minhash_dedup_pairs
+        from tilecloud_chain_ray.stages.components import near_dedup_refs
 
-        survivors = survivors.materialize()
-        pairs = minhash_dedup_pairs(
-            survivors, key_col=key_col, text_col=text_col, threshold=near_dedup_threshold
-        )
-        survivors = near_dedup_survivors(survivors, pairs, key_col=key_col)
+        survivors = near_dedup_refs(refs, sum(rows), key_col, text_col, near_dedup_threshold)
+    else:
+        survivors = ray.data.from_arrow_refs(refs)
     corpus_dir = os.path.join(out_dir, "corpus")
     shutil.rmtree(corpus_dir, ignore_errors=True)  # append-on-rewrite guard
     survivors.write_parquet(corpus_dir, partition_cols=[group_col])

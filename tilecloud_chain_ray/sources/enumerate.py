@@ -32,7 +32,7 @@ from tilecloud_chain_ray.coords import (
     sparse_row_intervals,
 )
 from tilecloud_chain_ray.geom import Geometry, buffer_geometry
-from tilecloud_chain_ray.util import default_buckets
+from tilecloud_chain_ray.util import default_buckets, weight_bounds
 
 INTERVAL_SCHEMA = pa.schema(
     [
@@ -152,12 +152,7 @@ def source_blocks(table: pa.Table, weights: np.ndarray) -> ray.data.Dataset:
     total = int(weights.sum())
     unit = max(BLOCK_UNIT, int(weights.max(initial=0)))
     k = max(1, min(rows, max(default_buckets(), -(-total // unit))))
-    # cut i goes where the rows' weight midpoints pass i/k of the total,
-    # moved just enough that every one of the k slices keeps a row
-    step = np.arange(1, k)
-    near = np.searchsorted(np.cumsum(weights) - weights / 2, total * step / k)
-    cuts = step + np.clip(np.maximum.accumulate(near - step), 0, rows - k)
-    bounds = [0, *cuts.tolist(), rows]
+    bounds = weight_bounds(weights, k)
     return ray.data.from_arrow([table.slice(a, b - a) for a, b in zip(bounds, bounds[1:])])
 
 

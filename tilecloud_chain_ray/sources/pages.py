@@ -132,17 +132,39 @@ def synthesize_pages(
 
 def read_pages(path: str, columns: list[str] | None = None):
     """The pages table at ``path`` as a Dataset, read like an exchange:
-    one read task per cluster core, raised per 128 MiB of on-disk bytes
-    (:func:`~tilecloud_chain_ray.util.exchange_width`), at most one per
-    file.  Ray's own width, ``max(min(200, est. MiB), 2 × cpus)``,
-    split a 4.6 MiB, 16-file page table into 12 read tasks on 1 CPU
-    (0.30 s against 0.12 s as one task).  A remote ``path`` keeps
-    Ray's width; :func:`~tilecloud_chain_ray.util.read_parquet_clean`
-    reads with Ray's width everywhere."""
-    schema, nbytes = local_parquet_listing(path, columns)
-    return read_parquet_clean(
-        path,
-        columns=columns,
-        schema=schema,
-        override_num_blocks=None if nbytes is None else exchange_width(nbytes),
+    :func:`~tilecloud_chain_ray.util.exchange_width` of its on-disk
+    bytes, i.e. one block per cluster core, raised per
+    ``DataContext.target_max_block_size``.
+
+    A local, non-partitioned path is listed once and read by file
+    group: one read task per group of contiguous files of about equal
+    bytes (at most one task per file), each reading its files whole
+    with ``pq.read_table``, dropping the schema metadata and yielding
+    blocks of at most the target block size.  With more cores than
+    files, Ray splits each task's output so the block count still
+    equals the width.  Building this plan starts no Ray task:
+    ``ray.data.read_parquet`` samples files in tasks on every call, and
+    its width, ``max(min(200, est. MiB), 2 × cpus)``, split a 4.6 MiB,
+    16-file page table into 12 read tasks on 1 CPU (0.30 s against
+    0.12 s as one task).
+
+    A hive-partitioned or remote ``path`` (or one whose files lack a
+    requested column) goes through
+    :func:`~tilecloud_chain_ray.util.read_parquet_clean`, since only
+    Ray's reader handles those inputs; a partitioned local one is
+    sized the same way, a remote one keeps Ray's width."""
+    import ray
+
+    from tilecloud_chain_ray.sources.page_files import PageFilesDatasource
+
+    schema, nbytes, files = local_parquet_listing(path, columns)
+    if schema is None:
+        return read_parquet_clean(
+            path,
+            columns=columns,
+            schema=None,
+            override_num_blocks=None if nbytes is None else exchange_width(nbytes),
+        )
+    return ray.data.read_datasource(
+        PageFilesDatasource(files, columns, schema), override_num_blocks=exchange_width(nbytes)
     )

@@ -11,6 +11,10 @@ closes that step:
   ``component`` is the minimum key reachable from ``key``.
 * ``near_dedup_survivors(docs, pairs)`` — drop every doc whose key is
   in a cluster but is not its min-key representative.
+* ``near_dedup_refs(refs, n_rows, ...)`` — the whole MinHash near-dedup
+  tail (pairs -> components -> survivors) on document block refs: the
+  tail both curate chains run on their exact-dedup output
+  (pipelines/curate.py, pipelines/curate_resumable.py).
 
 Two placements with identical semantics, picked from the input by
 ``util.fits_driver`` (the engine's one driver-or-cluster rule; no
@@ -22,6 +26,9 @@ caller option):
   straight from the union-find's arrays and broadcasts it: pairs ->
   drop set with no Dataset in between (each Dataset hop costs a fixed
   ~10-40 ms, far more than union-finding a few hundred pairs).
+  ``near_dedup_refs`` goes further: banding, candidates, verify and
+  union-find hand block refs and driver arrays on, so the only Ray Data
+  execution left is the caller's consumption of the filtered docs.
   Near-dup pair tables are tiny relative to the corpus, so this is
   the common case even at large scale.
 * **distributed min-label propagation** — labels start as the node's
@@ -234,6 +241,33 @@ def near_dedup_survivors(
         or [np.array([], dtype=np.int64)]
     )
     return _drop_sorted(docs, np.sort(drop_keys), key_col)
+
+
+def near_dedup_refs(
+    refs: list, n_rows: int, key_col: str, text_col: str, threshold: float
+) -> ray.data.Dataset:
+    """MinHash near-dedup of the document blocks ``refs`` (``n_rows``
+    rows in all): the docs with one survivor per near-dup cluster (the
+    min key) and every doc outside a cluster, as a lazy Dataset.
+
+    The pairs come from ``stages.dedup._verified_pairs`` on the refs.
+    On the driver placement they arrive as a table and are union-found
+    right there: a pair table small enough for the driver verify (8 KiB
+    a candidate) fits the union-find (16 B a pair) too, so the drop set
+    goes straight to the broadcast filter, and nothing between the
+    exact-dedup refs and the caller's consumption runs a Ray Data
+    execution.  On the cluster placement the pairs are a Dataset and go
+    through :func:`near_dedup_survivors`."""
+    from tilecloud_chain_ray.stages.dedup import _verified_pairs
+
+    pairs = _verified_pairs(refs, n_rows, key_col, text_col, threshold)
+    docs = ray.data.from_arrow_refs(refs)
+    if not isinstance(pairs, pa.Table):
+        return near_dedup_survivors(docs, pairs, key_col)
+    nodes, comp = _union_find_driver(
+        pairs["key_a"].to_numpy(zero_copy_only=False), pairs["key_b"].to_numpy(zero_copy_only=False)
+    )
+    return _drop_sorted(docs, nodes[nodes != comp], key_col)
 
 
 def _drop_sorted(docs: ray.data.Dataset, drops: np.ndarray, key_col: str) -> ray.data.Dataset:

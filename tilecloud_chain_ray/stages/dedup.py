@@ -3,9 +3,9 @@ embedding-cosine near-dup.
 
 All shapes follow the scalable patterns: content hash computed
 vectorized inside ``map_batches``; the only shuffles are hash /
-band-bucket task exchanges (util.hash_group_blocks) over *small
+band-bucket task exchanges (util.exchange_refs) over *small
 derived columns* (never the payload).  MinHash candidate pairs are
-built by one path, task exchanges only (``_expand_hot_bucket_pairs``);
+built by one path, task exchanges only (``_candidate_pairs``);
 where an operator can also run on the driver (the MinHash verify, the
 hamming pairs), the size of what the driver would hold picks the
 placement through ``util.fits_driver`` — never a caller's option.
@@ -17,10 +17,17 @@ of an Arrow ``list`` column), ``MinHasher.signatures`` signs it with one
 pass per permutation, and Jaccard verification intersects the sorted
 shingle sets of all candidate pairs in one lexsort.  SimHash still
 walks its documents one by one; batching it measured slower (ROADMAP).
+
+The MinHash chain runs on block refs (``_verified_pairs``): banding,
+both candidate exchanges and the driver verify hand plain-task outputs
+on, with no Dataset and no Ray Data execution between them.
+``minhash_dedup_pairs`` wraps it for a Dataset; the curate chains call
+it straight from their exact-dedup refs (stages/components.py).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 import zlib
@@ -195,20 +202,25 @@ def _shingle_index(tbl: pa.Table, key_col: str, text_col: str, k: int = 3):
     return ukeys, len(keys) - 1 - first, offsets, values
 
 
-def _needed_shingle_index(ds: ray.data.Dataset, key_col: str, text_col: str, keys, k: int = 3):
-    """``_shingle_index`` of the rows of ``ds`` whose key is in
-    ``keys``, pulled to the driver as Arrow batches."""
-    value_set = pa.array(np.unique(keys))
-    needed = ds.map_batches(
-        lambda b: b.filter(pc.is_in(b[key_col], value_set=value_set)).select([key_col, text_col]),
-        batch_format="pyarrow",
-    )
-    tables = [t for t in needed.iter_batches(batch_format="pyarrow") if t.num_rows]
+def _rows_with_keys(tbl: pa.Table, key_col: str, text_col: str, keys: np.ndarray) -> pa.Table:
+    """The ``(key, text)`` rows of one block whose key is in ``keys``."""
+    return tbl.filter(pc.is_in(tbl[key_col], value_set=pa.array(keys))).select([key_col, text_col])
+
+
+def _pair_jaccard_refs(refs: list, key_col: str, text_col: str, key_a, key_b) -> np.ndarray:
+    """:func:`_pair_jaccard` of every ``(key_a[i], key_b[i])`` pair, with
+    the shingle sets of only the pairs' rows: one ``is_in`` task per
+    document block ``refs``, one ``ray.get`` of their output, and the
+    index built on the driver."""
+    from tilecloud_chain_ray.util import map_refs
+
+    keys = np.unique(np.concatenate([key_a, key_b]))
+    tables = [t for t in ray.get(map_refs(refs, _rows_with_keys, key_col, text_col, keys)) if t.num_rows]
     if not tables:
         tables = [
             pa.table({key_col: pa.array([], pa.int64()), text_col: pa.array([], pa.string())})
         ]
-    return _shingle_index(pa.concat_tables(tables), key_col, text_col, k)
+    return _pair_jaccard(_shingle_index(pa.concat_tables(tables), key_col, text_col), key_a, key_b)
 
 
 def _pair_jaccard(index, key_a: np.ndarray, key_b: np.ndarray) -> np.ndarray:
@@ -314,6 +326,7 @@ class MinHashStage:
 
 
 _PAIR_SCHEMA = pa.schema([("key_a", pa.int64()), ("key_b", pa.int64())])
+_JACCARD_SCHEMA = _PAIR_SCHEMA.append(pa.field("jaccard", pa.float64()))
 
 
 def _distinct_pairs(pairs: pa.Table) -> pa.Table:
@@ -377,32 +390,109 @@ def _bucket_run_pairs(batch: pa.Table, max_bucket: int) -> pa.Table:
     )
 
 
-def _expand_hot_bucket_pairs(
-    banded: ray.data.Dataset, max_bucket: int = 10_000
-) -> ray.data.Dataset:
-    """Distinct candidate pairs (:func:`_bucket_run_pairs`) of a
-    (key, band, band_hash) table, fully distributed: one task exchange
-    hash-partitioned on (band, band_hash) expands every run's pairs,
-    and when it yields more than one partition, a second one,
-    partitioned on the pair, drops the pairs found in several
-    (util.hash_group_blocks).  A pre-aggregate "hot bucket"
-    detection pass was measured strictly slower on Ray (its groupby
-    shuffles the same rows without reducing them — 2.7M near-unique
-    keys — and one Ray group per key costs ~1 ms of map_groups
-    overhead)."""
-    from tilecloud_chain_ray.util import hash_group_blocks
+def _candidate_pairs(banded: list, in_bytes: int, max_bucket: int) -> tuple[list, list[int]]:
+    """Distinct candidate pairs (:func:`_bucket_run_pairs`) of the
+    (key, band, band_hash) blocks ``banded`` (``in_bytes`` in all), as
+    ``(refs, rows)``: one task exchange hash-partitioned on
+    (band, band_hash) expands every run's pairs, and when it yields more
+    than one partition, a second one, partitioned on the pair, drops the
+    pairs found in several (``util.exchange_refs``).  A pre-aggregate
+    "hot bucket" detection pass was measured strictly slower on Ray (its
+    groupby shuffles the same rows without reducing them — 2.7M
+    near-unique keys — and one Ray group per key costs ~1 ms of
+    map_groups overhead)."""
+    from tilecloud_chain_ray.util import exchange_refs
 
-    cand = hash_group_blocks(
-        banded, ["band", "band_hash"], lambda t: _bucket_run_pairs(t, max_bucket)
+    cand, rows = exchange_refs(
+        banded, ["band", "band_hash"], functools.partial(_bucket_run_pairs, max_bucket=max_bucket), in_bytes
     )
-    if cand.num_blocks() <= 1:  # one partition held every run
-        return cand
-
+    if len(cand) <= 1:  # one partition held every run
+        return cand, rows
     # global pair dedup, partitioned on the pair: a direct two-column
     # sort groupby-aggregate over the raw pairs measured ~60 s where
     # this takes ~2 s — Ray's sort-based groupby pays per distinct key,
     # so dedup vectorized inside each exchange partition instead
-    return hash_group_blocks(cand, ["key_a", "key_b"], _distinct_pairs)
+    return exchange_refs(cand, ["key_a", "key_b"], _distinct_pairs, sum(rows) * _PAIR_BYTES)
+
+
+def _expand_hot_bucket_pairs(
+    banded: ray.data.Dataset, max_bucket: int = 10_000
+) -> ray.data.Dataset:
+    """:func:`_candidate_pairs` of a (key, band, band_hash) Dataset, as
+    a Dataset."""
+    from tilecloud_chain_ray.util import block_refs
+
+    refs, _, nbytes = block_refs(banded.materialize())
+    return ray.data.from_arrow_refs(_candidate_pairs(refs, nbytes, max_bucket)[0])
+
+
+# rows banded per ``_band_cached`` call: bounds one MinHashStage pass
+_BAND_BATCH = 2048
+# bytes of a banded row (int64 key, int32 band, int64 band_hash) and of
+# a pair row (two int64 keys): exchange inputs sized without a fetch
+_BAND_ROW_BYTES = 20
+_PAIR_BYTES = 16
+
+
+def _band_block(tbl: pa.Table, key_col: str, text_col: str, num_perm: int, bands: int) -> pa.Table:
+    """The (key, band, band_hash) rows of one document block,
+    ``_BAND_BATCH`` rows per ``_band_cached`` call."""
+    return pa.concat_tables(
+        [
+            _band_cached(tbl.slice(s, _BAND_BATCH), key_col, text_col, num_perm, bands)
+            for s in range(0, max(tbl.num_rows, 1), _BAND_BATCH)
+        ]
+    )
+
+
+def _verified_pairs(
+    refs: list,
+    n_rows: int,
+    key_col: str,
+    text_col: str,
+    threshold: float,
+    num_perm: int = 64,
+    bands: int = 16,
+    max_bucket: int = 10_000,
+):
+    """Near-dup pairs (key_a < key_b, jaccard >= ``threshold``) of the
+    document blocks ``refs`` (``n_rows`` rows in all), on block refs
+    from end to end: one banding task per block, the candidate
+    exchanges (:func:`_candidate_pairs`), then the verify.
+
+    The verify is placed by the candidate universe, the shingle sets it
+    needs (~4 KiB a document, two a pair — a generous web-text
+    estimate).  When they fit :func:`~tilecloud_chain_ray.util.fits_driver`
+    the candidate table is fetched with one ``ray.get``, only the
+    candidate keys' rows follow (:func:`_pair_jaccard_refs`), and the
+    pairs come back as a driver ``pa.Table``.  Otherwise a bucketed join
+    of the candidates against the (key, shingle set) table
+    (:func:`_verify_pairs_distributed`) returns a Dataset, and nothing
+    proportional to the duplicate universe lands on the driver."""
+    from tilecloud_chain_ray.util import fits_driver, map_refs
+
+    banded = map_refs(refs, _band_block, key_col, text_col, num_perm, bands)
+    cand, rows = _candidate_pairs(banded, n_rows * bands * _BAND_ROW_BYTES, max_bucket)
+    del banded
+    n_cand = sum(rows)
+    if n_cand == 0:
+        return _JACCARD_SCHEMA.empty_table()
+    if not fits_driver(n_cand * 2 * 4096):
+        sigs = shingle_sig_table(ray.data.from_arrow_refs(refs), key_col, text_col)
+        return _verify_pairs_distributed(ray.data.from_arrow_refs(cand), sigs, threshold)
+    pairs = pa.concat_tables(ray.get(cand))
+    del cand
+    ka = pairs["key_a"].to_numpy(zero_copy_only=False)
+    kb = pairs["key_b"].to_numpy(zero_copy_only=False)
+    jac = _pair_jaccard_refs(refs, key_col, text_col, ka, kb)
+    keep = jac >= threshold
+    return pa.table(
+        {
+            "key_a": pa.array(ka[keep], pa.int64()),
+            "key_b": pa.array(kb[keep], pa.int64()),
+            "jaccard": pa.array(jac[keep], pa.float64()),
+        }
+    )
 
 
 def minhash_dedup_pairs(
@@ -418,53 +508,20 @@ def minhash_dedup_pairs(
     exact shingle Jaccard >= ``threshold``; output (key_a < key_b,
     jaccard).
 
-    Candidates always come from :func:`_expand_hot_bucket_pairs` (task
-    exchanges, nothing on the driver).  Verification is placed by
-    the candidate universe, the shingle sets it needs (~4 KiB a
-    document, two a pair — a generous web-text estimate):
-
-    * when they fit :func:`~tilecloud_chain_ray.util.fits_driver`, only
-      the candidate keys' rows are pulled to the driver and verified
-      in one vectorized pass (``_needed_shingle_index`` +
-      ``_pair_jaccard``) — measured faster than the cluster path at
-      small inputs;
-    * otherwise a bucketed join of the pair table against the
-      (key, shingle set) table (:func:`_verify_pairs_distributed`):
-      nothing proportional to the duplicate universe lands on the
-      driver.
+    ``ds`` is materialized and its blocks go through
+    :func:`_verified_pairs`: candidates always come from task exchanges
+    (nothing on the driver), and the verify runs on the driver when the
+    candidates' shingle sets fit :func:`~tilecloud_chain_ray.util.fits_driver`
+    (measured faster than the cluster path at small inputs), else as a
+    bucketed join on the cluster (:func:`_verify_pairs_distributed`).
     """
-    from tilecloud_chain_ray.util import fits_driver
+    from tilecloud_chain_ray.util import block_refs
 
-    banded = ds.map_batches(
-        lambda b: _band_cached(b, key_col, text_col, num_perm, bands),
-        batch_format="pyarrow",
-        batch_size=2048,
+    refs, rows, _ = block_refs(ds.materialize())
+    pairs = _verified_pairs(
+        refs, sum(rows), key_col, text_col, threshold, num_perm, bands, max_bucket
     )
-    cand = _expand_hot_bucket_pairs(banded, max_bucket=max_bucket)
-    n_cand = cand.count()
-    if n_cand == 0:
-        return ray.data.from_arrow(
-            _PAIR_SCHEMA.append(pa.field("jaccard", pa.float64())).empty_table()
-        )
-    if not fits_driver(n_cand * 2 * 4096):
-        sigs = shingle_sig_table(ds, key_col, text_col)
-        return _verify_pairs_distributed(cand, sigs, threshold)
-
-    pairs = pa.concat_tables(ray.get(cand.to_arrow_refs()))
-    ka = pairs["key_a"].to_numpy(zero_copy_only=False)
-    kb = pairs["key_b"].to_numpy(zero_copy_only=False)
-    index = _needed_shingle_index(ds, key_col, text_col, np.concatenate([ka, kb]))
-    jac = _pair_jaccard(index, ka, kb)
-    keep = jac >= threshold
-    return ray.data.from_arrow(
-        pa.table(
-            {
-                "key_a": pa.array(ka[keep], pa.int64()),
-                "key_b": pa.array(kb[keep], pa.int64()),
-                "jaccard": pa.array(jac[keep], pa.float64()),
-            }
-        )
-    )
+    return ray.data.from_arrow(pairs) if isinstance(pairs, pa.Table) else pairs
 
 
 def _band_cached(batch, key_col, text_col, num_perm, bands):
@@ -887,6 +944,9 @@ def embedding_near_dup(
     buckets.  Note: LSH recall < 1 by construction for thresholds well
     below 1; for exactness tests use brute force (knn.py).
     """
+    # the exchange materializes its input anyway; a lazy take(1) would
+    # run the plan twice and cancel its in-flight tasks
+    ds = ds.materialize()
     first = ds.take(1)[0]
     d = dim or len(first[vec_col])
     rng = np.random.default_rng(seed)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import os
 from typing import Any, Callable
 
@@ -111,45 +112,62 @@ def strip_meta(batch):
 
 
 def local_parquet_listing(paths, columns):
-    """One walk of local parquet ``paths``: ``(schema, nbytes)``.
+    """One walk of local parquet ``paths``: ``(schema, nbytes, files)``.
 
     ``schema`` is the metadata-free read schema of the first file, or
     None when it can't be derived safely (hive-partitioned directory —
     the partition columns aren't in the file schema — or a requested
     column missing from the file).  ``nbytes`` is the on-disk size of
-    every parquet file the read covers, or None when any path is not a
-    local file or directory (a remote URI)."""
+    every parquet file the read covers and ``files`` their
+    ``(path, size)`` in read order (directories walked sorted), both
+    None when any path is not a local file or directory (a remote
+    URI)."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    files: list[str] = []
-    nbytes = 0
+    files: list[tuple[str, int]] = []
     partitioned = False
     for p in paths if isinstance(paths, (list, tuple)) else [paths]:
         if not isinstance(p, str):
-            return None, None
+            return None, None, None
         if os.path.isfile(p):
-            files.append(p)
-            nbytes += os.path.getsize(p)
+            files.append((p, os.path.getsize(p)))
         elif os.path.isdir(p):
             for root, dirs, names in os.walk(p):
                 dirs.sort()
                 partitioned |= bool(dirs)
                 for n in sorted(names):
                     if n.endswith(".parquet"):
-                        files.append(os.path.join(root, n))
-                        nbytes += os.path.getsize(files[-1])
+                        f = os.path.join(root, n)
+                        files.append((f, os.path.getsize(f)))
         else:
-            return None, None
+            return None, None, None
+    nbytes = sum(size for _, size in files)
     if partitioned or not files:
-        return None, nbytes
+        return None, nbytes, files
     try:
-        schema = pq.read_schema(files[0]).remove_metadata()
+        schema = pq.read_schema(files[0][0]).remove_metadata()
         if columns:
             schema = pa.schema([schema.field(c) for c in columns])
-        return schema, nbytes
+        return schema, nbytes, files
     except (OSError, KeyError):
-        return None, nbytes
+        return None, nbytes, files
+
+
+def weight_bounds(weights, k: int) -> list[int]:
+    """Cut points of ``len(weights)`` items into ``k`` contiguous runs
+    (``1 <= k <= len(weights)``) of about equal weight: run ``i`` is
+    ``bounds[i]:bounds[i + 1]``.  Cut ``i`` goes where the items' weight
+    midpoints pass ``i/k`` of the total, moved just enough that every
+    run keeps an item."""
+    import numpy as np
+
+    weights = np.asarray(weights, dtype=np.float64)
+    n = len(weights)
+    step = np.arange(1, k)
+    near = np.searchsorted(np.cumsum(weights) - weights / 2, weights.sum() * step / k)
+    cuts = step + np.clip(np.maximum.accumulate(near - step), 0, n - k)
+    return [0, *cuts.tolist(), n]
 
 
 def read_parquet_clean(paths, **kwargs):
@@ -167,7 +185,7 @@ def read_parquet_clean(paths, **kwargs):
     import ray
 
     if "schema" not in kwargs:
-        schema, _ = local_parquet_listing(paths, kwargs.get("columns"))
+        schema = local_parquet_listing(paths, kwargs.get("columns"))[0]
         if schema is not None:
             kwargs["schema"] = schema
     return ray.data.read_parquet(paths, **kwargs).map_batches(
@@ -289,11 +307,165 @@ def _combined_key_hash(batch, keys):
     return acc
 
 
+@functools.lru_cache(maxsize=None)
+def _remote(fn: Callable, num_returns: int = 1):
+    """``fn`` as a Ray remote function, built once per process (Ray
+    re-exports it to each new session on its first call there)."""
+    import ray
+
+    return ray.remote(num_returns=num_returns)(fn)
+
+
+def _to_arrow(block):
+    """A Ray Data block as a pyarrow table (a pandas block is converted)."""
+    import pyarrow as pa
+
+    if isinstance(block, pa.Table):
+        return block
+    from ray.data.block import BlockAccessor
+
+    return strip_meta(BlockAccessor.for_block(block).to_arrow())
+
+
+def _apply(block, fn: Callable, *args):
+    return fn(_to_arrow(block), *args)
+
+
+def map_refs(refs: list, fn: Callable, *args) -> list:
+    """``fn(table, *args)`` on every block ref, as one plain task each
+    (the block as a pyarrow table): the output refs, in input order.
+    No Dataset, no execution; the caller gets the results with
+    ``ray.get`` or hands the refs on."""
+    task = _remote(_apply)
+    return [task.remote(ref, fn, *args) for ref in refs]
+
+
+def block_refs(mat) -> tuple[list, list[int], int]:
+    """``(refs, rows, nbytes)`` of the blocks of the materialized Dataset
+    ``mat`` that hold rows, read from the block metadata: no block is
+    fetched and nothing executes.  When no block holds a row, every
+    (empty) block is returned, so that a kernel applied to them still
+    sees the input's column types."""
+    refs, rows, nbytes, empty = [], [], 0, []
+    for bundle in mat.iter_internal_ref_bundles():
+        for ref, meta in bundle.blocks:
+            if meta.num_rows == 0:
+                empty.append(ref)
+                continue
+            refs.append(ref)
+            rows.append(meta.num_rows)
+            nbytes += meta.size_bytes or 0
+    return (refs, rows, nbytes) if refs else (empty, [0] * len(empty), 0)
+
+
+def _split_block(tbl, width: int, keys: tuple) -> list:
+    """One block cut into ``width`` sub-tables by key hash (an empty
+    block, possibly without columns, into ``width`` copies of itself)."""
+    import numpy as np
+    import pyarrow as pa
+
+    tbl = _to_arrow(tbl)
+    if tbl.num_rows == 0:
+        return [tbl] * width
+    part = (_combined_key_hash(tbl, keys) % np.uint64(width)).astype(np.int64)
+    order = np.argsort(part, kind="stable")
+    bounds = np.searchsorted(part[order], np.arange(width + 1))
+    taken = tbl.take(pa.array(order, pa.int64()))
+    return [taken.slice(bounds[i], bounds[i + 1] - bounds[i]) for i in range(width)]
+
+
+def _run_kernel(kernel, tbl):
+    """``kernel(tbl)`` as a metadata-free pyarrow table (a pandas
+    result is converted)."""
+    import pyarrow as pa
+
+    out = kernel(tbl)
+    if not isinstance(out, pa.Table):
+        out = pa.Table.from_pandas(out, preserve_index=False)
+    return strip_meta(out)
+
+
+def _merge_parts(kernel, *parts):
+    """One partition: its slices concatenated, then the kernel; the
+    output and its row count (two returns, so the driver reads counts
+    without fetching blocks)."""
+    import pyarrow as pa
+
+    parts = [_to_arrow(p) for p in parts]
+    live = [p for p in parts if p.num_rows]
+    if live:
+        merged = pa.concat_tables(live, promote_options="default")
+    else:  # typed empty: the widest schema among the empty parts
+        merged = max(parts, key=lambda p: p.num_columns).slice(0, 0)
+    out = _run_kernel(kernel, merged)
+    return out, out.num_rows
+
+
+def exchange_refs(refs: list, keys, kernel, in_bytes: int, num_partitions=None):
+    """The engine's task exchange on block refs: hash-partition the
+    blocks ``refs`` (``in_bytes`` in all) by ``keys`` and run ``kernel``
+    (pyarrow table -> pyarrow table) once per partition.  Returns
+    ``(refs, rows)`` of the non-empty output partitions, or of one
+    typed-empty output when every partition came out empty.
+
+    One SPLIT task per block cuts it into ``width`` sub-tables by key
+    hash (plain tasks, no actor pool), and one MERGE task per partition
+    concatenates its slices and applies the kernel to every co-located
+    key group at once (the repo's kernels are vectorized multi-group
+    passes).  At width 1 there is no split layer: one merge over every
+    block.  The driver reads only the merge tasks' row counts; no
+    Dataset is built and no Ray Data execution runs, so a chain of
+    exchanges hands refs from one to the next.  Deterministic and
+    retry-safe (stateless tasks).
+
+    Width: :func:`exchange_width` of ``in_bytes`` — one partition per
+    cluster core (``num_partitions`` only for a key of fixed
+    cardinality), raised per ``DataContext.target_max_block_size`` of
+    input.  The raise bounds a merge task to about one target block
+    only if ``keys`` spread the rows: hash the natural key, not a salt
+    whose cardinality was fixed before the width was known.  Kernels
+    must rely only on key co-location: every partition may hold many
+    keys.  With no input block the kernel runs on the driver over a
+    zero-column empty table (the kernels' zero-column probe).
+
+    Driver footprint at scale: above width 1 the driver holds
+    ``blocks × width`` ObjectRefs (the split outputs) until the merges
+    are submitted — at ~100 bytes a ref, a 100k-block input through a
+    1024-wide exchange is ~10 GB of driver refs, which is the practical
+    ceiling.  The repo's callers stay far under it because ``blocks``
+    tracks the source's read width, not its row count, and most
+    exchange inputs are combiner outputs (one small partial block per
+    input block); for a raw-row exchange at that scale, coalesce the
+    input first or split the exchange into two hash levels (sqrt(width)
+    each) — the same ref-fan trade Ray's push-based shuffle makes."""
+    import pyarrow as pa
+    import ray
+
+    if not refs:
+        out = _run_kernel(kernel, pa.table({}))
+        return [ray.put(out)], [out.num_rows]
+    width = exchange_width(in_bytes, num_partitions)
+    merge = _remote(_merge_parts, 2)
+    kern_ref = ray.put(kernel)
+    if width == 1:
+        # no split layer (Ray's num_returns=1 would hand the merge the
+        # slice LIST, not the table): one merge over every block
+        outs = [merge.remote(kern_ref, *refs)]
+    else:
+        split = _remote(_split_block).options(num_returns=width)
+        splits = [split.remote(ref, width, tuple(keys)) for ref in refs]
+        outs = [merge.remote(kern_ref, *[s[p] for s in splits]) for p in range(width)]
+        del splits  # the merge tasks hold the slices now
+    counts = ray.get([c for _, c in outs])
+    keep = [(o, n) for (o, _), n in zip(outs, counts) if n] or [(outs[0][0], 0)]
+    return [o for o, _ in keep], [n for _, n in keep]
+
+
 def hash_group_blocks(ds, keys, kernel, num_partitions=None):
-    """Key-co-located block mapping WITHOUT zero-schema empty bundles:
-    hash-partition ``ds`` by ``keys`` with a two-layer task exchange
-    and run ``kernel`` (pyarrow table -> pyarrow table) once per
-    NON-EMPTY partition.
+    """Key-co-located block mapping on a Dataset: ``ds`` materialized,
+    run through :func:`exchange_refs` (``kernel`` once per non-empty
+    hash partition, width from the blocks' metadata bytes) and wrapped
+    back into a Dataset of the non-empty outputs.
 
     Why not ``groupby().map_groups``: the sort-based path emits
     (0 rows, 0 cols) bundles for empty sort ranges (duplicate sampled
@@ -306,129 +478,17 @@ def hash_group_blocks(ds, keys, kernel, num_partitions=None):
     measured round 5), the wrong trade for a stage that runs inside a
     larger pipeline.
 
-    Shape: the input materializes (the sort path's reduce pays the
-    same object-store residency), one SPLIT task per block cuts it
-    into ``num_partitions`` sub-tables by key hash (plain tasks — no
-    actor pool), and one MERGE task per partition concats its slices
-    and applies the kernel to every co-located key group at once (the
-    repo's kernels are vectorized multi-group passes).  Empty
-    partitions never produce a block: merge tasks report row counts
-    and the driver drops empty outputs before ``from_arrow_refs``.
-    Deterministic and retry-safe (stateless tasks).
-
-    Width: :func:`exchange_width` — one partition per cluster core
-    (``num_partitions`` only for a key of fixed cardinality) raised to
-    ``ceil(input bytes / DataContext.target_max_block_size)``; the
-    bytes are summed from the materialized block metadata, so sizing
-    costs no extra pass.  A small input on a small cluster therefore
-    runs at width 1: one merge task over every input block, no split
-    layer.  The raise bounds a merge task to about one Ray Data target
-    block (128 MiB) of input only if ``keys`` spread the rows: hash
-    the natural key, not a salt column whose cardinality was fixed
-    before the width was known (a 1-value salt puts every row in one
-    partition at any width).  Kernels must only rely on key
-    co-location — the exchange may run wider than requested, and
-    every partition may hold many keys.
-
-    Driver footprint at scale: above width 1 the driver holds
-    ``blocks × width`` ObjectRefs (the split outputs) — at ~100 bytes
-    a ref, a 100k-block input through a 1024-wide exchange is ~10 GB
-    of driver refs, which is the practical ceiling.  The repo's callers
-    stay far under it because ``blocks`` tracks the source's read
-    width, not its row count (the page table reads into
-    :func:`exchange_width` of its on-disk bytes, other parquet reads
-    into Ray's default ``max(min(200, MiB), 2 × cpus)`` blocks), and
-    most exchange inputs are COMBINER OUTPUTS (one small partial block
-    per input block); for a raw-row exchange at that scale, coalesce
-    the input first (``repartition(shuffle=False)``) or split the
-    exchange into two hash levels (sqrt(width) each) — the same
-    ref-fan trade Ray's push-based shuffle makes internally.
-    """
-    import pyarrow as pa
+    A chain of exchanges that needs no Dataset between its steps calls
+    :func:`exchange_refs` directly: each ``from_arrow_refs`` here costs
+    a metadata task per output block, and the next consumer's
+    execution.  An input with no rows runs the kernel over its empty
+    blocks, which keeps their column types; an input with no blocks at
+    all probes the kernel with a zero-column empty table."""
     import ray
 
-    @ray.remote
-    def _split(tbl: pa.Table, np_: int, key_cols: tuple) -> list:
-        import numpy as np
-
-        h = _combined_key_hash(tbl, key_cols)
-        part = (h % np.uint64(np_)).astype(np.int64)
-        order = np.argsort(part, kind="stable")
-        sorted_part = part[order]
-        bounds = np.searchsorted(sorted_part, np.arange(np_ + 1))
-        idx = pa.array(order, pa.int64())
-        taken = tbl.take(idx)
-        return [taken.slice(bounds[i], bounds[i + 1] - bounds[i]) for i in range(np_)]
-
-    @ray.remote(num_returns=2)
-    def _merge(kern, *parts):
-        merged = pa.concat_tables([p for p in parts if p.num_rows], promote_options="default") if any(
-            p.num_rows for p in parts
-        ) else parts[0].slice(0, 0)
-        out = kern(merged)
-        if not isinstance(out, pa.Table):
-            import pyarrow as _pa
-
-            out = _pa.Table.from_pandas(out, preserve_index=False)
-        out = strip_meta(out)
-        return out, out.num_rows
-
-    mat = ds.materialize()
-    all_refs: list = []
-    block_refs: list = []
-    in_bytes = 0
-    try:
-        for bundle in mat.iter_internal_ref_bundles():
-            for blk, meta in bundle.blocks:
-                all_refs.append(blk)
-                if meta.num_rows is None or meta.num_rows > 0:
-                    block_refs.append(blk)
-                    in_bytes += meta.size_bytes or 0
-    except Exception:  # metadata API drift: take every block
-        block_refs = list(mat.to_arrow_refs())
-    if not block_refs:
-        # typed empty result: run the kernel locally on an empty input.
-        # schema() is None whenever every block is empty (Ray drops the
-        # schema even for typed 0-row blocks), so recover the type from
-        # an actual block when one exists; only a dataset with NO blocks
-        # at all (e.g. zero drop keys feeding a bloom build) probes the
-        # kernel with a zero-column empty — kernels that reference
-        # columns are exercised with their real schema either way
-        sch = mat.schema()
-        base = sch.base_schema if sch is not None else pa.schema([])
-        if not base.names and all_refs:
-            base = ray.get(all_refs[0]).schema
-        empty = pa.Table.from_pylist([], schema=base)
-        out = kernel(empty)
-        if not isinstance(out, pa.Table):
-            out = pa.Table.from_pandas(out, preserve_index=False)
-        return ray.data.from_arrow(strip_meta(out))
-    num_partitions = exchange_width(in_bytes, num_partitions)
-    kern_ref = ray.put(kernel)
-    out_refs, count_refs = [], []
-    if num_partitions == 1:
-        # degenerate width: no split layer (Ray's num_returns=1 would
-        # hand _merge the slice LIST, not the table) — one merge over
-        # every input block, which is the same exchange semantics
-        o, c = _merge.remote(kern_ref, *block_refs)
-        out_refs.append(o)
-        count_refs.append(c)
-    else:
-        splits = [
-            _split.options(num_returns=num_partitions).remote(
-                ref, num_partitions, tuple(keys)
-            )
-            for ref in block_refs
-        ]
-        for p in range(num_partitions):
-            o, c = _merge.remote(kern_ref, *[s[p] for s in splits])
-            out_refs.append(o)
-            count_refs.append(c)
-    counts = ray.get(count_refs)
-    keep = [r for r, n in zip(out_refs, counts) if n]
-    if not keep:
-        keep = [out_refs[0]]  # typed empty output from the kernel
-    return ray.data.from_arrow_refs(keep)
+    refs, _, in_bytes = block_refs(ds.materialize())
+    out_refs, _ = exchange_refs(refs, keys, kernel, in_bytes, num_partitions)
+    return ray.data.from_arrow_refs(out_refs)
 
 
 def exchange_aggregate(ds, keys, aggs, names):
@@ -438,7 +498,7 @@ def exchange_aggregate(ds, keys, aggs, names):
     per agg — ``names`` renames that full output).  Drop-in for
     ``ds.groupby(keys).aggregate(...)`` when the caller already ships
     per-block partials: same exactness, no sort, no zero-schema empty
-    bundles, and the exchange width is sized as in :func:`hash_group_blocks`."""
+    bundles, and the exchange width is sized as in :func:`exchange_refs`."""
 
     import pyarrow as pa
 
