@@ -54,7 +54,7 @@ def main() -> None:
         print(f"  z{c.zoom}: ~{c.n_tiles} tiles, ~{c.time_sec:.0f}s, ~{c.size_kb:.0f} KB")
 
     wmts = f"{out_root}/wmts"
-    result = generate_tiles(layer, out_wmts=wmts, concurrency=(1, 4))
+    result = generate_tiles(layer, out_wmts=wmts)
     print("pyramid summary:", result.summary)
     write_manifest(out_root, [layer], result.tiles)
     print("manifest:", json.load(open(f"{out_root}/manifest.json"))["layers"][0]["stored_tiles_per_zoom"])

@@ -84,9 +84,7 @@ def watch_loop(
             except OSError:
                 continue  # another daemon claimed it first
             try:
-                result = generate_tiles(
-                    layer, tiles_file=claimed, out_wmts=out, concurrency=2
-                )
+                result = generate_tiles(layer, tiles_file=claimed, out_wmts=out)
                 os.replace(claimed, os.path.join(done_dir, name))
                 print(json.dumps({"file": name, **result.summary}), flush=True)
             except Exception as exc:  # file-scoped failure, daemon lives on

@@ -88,3 +88,22 @@ def count_executions():
             yield calls
 
     return counting
+
+
+@pytest.fixture(scope="session")
+def actor_pools():
+    """``actor_pools(ds)`` lists the operators of ``ds``'s logical plan
+    that Ray Data would run as an actor pool (every input of a union
+    included), so a test can pin that a stage is a plain task map."""
+    from ray.data import ActorPoolStrategy
+
+    def pools(ds) -> list:
+        found, todo = [], [ds._logical_plan.dag]
+        while todo:
+            op = todo.pop()
+            if isinstance(getattr(op, "_compute", None), ActorPoolStrategy):
+                found.append(op)
+            todo.extend(op.input_dependencies)
+        return found
+
+    return pools

@@ -77,7 +77,7 @@ def test_audio_near_dup_finds_planted_variants():
             {"media_id": pa.array(ids, pa.int64()), "payload": pa.array(payloads, pa.binary())}
         )
     ).repartition(4)
-    pairs = audio_near_dup_pairs(media, max_hamming=3, concurrency=(1, 2)).to_pandas()
+    pairs = audio_near_dup_pairs(media, max_hamming=3).to_pandas()
     got = {(a, b) for a, b in zip(pairs["key_a"], pairs["key_b"])}
     for i in range(n):
         assert (i, 1000 + i) in got, f"variant of clip {i} missed"
@@ -100,9 +100,9 @@ def test_audio_near_dup_distributed_matches_driver(on_cluster):
             {"media_id": pa.array(ids, pa.int64()), "payload": pa.array(payloads, pa.binary())}
         )
     )
-    fast = audio_near_dup_pairs(media, max_hamming=3, concurrency=(1, 2)).to_pandas()
+    fast = audio_near_dup_pairs(media, max_hamming=3).to_pandas()
     with on_cluster():
-        dist = audio_near_dup_pairs(media, max_hamming=3, concurrency=(1, 2)).to_pandas()
+        dist = audio_near_dup_pairs(media, max_hamming=3).to_pandas()
     fp = {(a, b, h) for a, b, h in zip(fast["key_a"], fast["key_b"], fast["hamming"])}
     dp = {(a, b, h) for a, b, h in zip(dist["key_a"], dist["key_b"], dist["hamming"])}
     assert fp == dp and len(fp) >= n

@@ -100,7 +100,7 @@ def test_yaml_layer_runs_pipeline(ray_session):
     from dataclasses import replace
 
     layer = replace(layer, empty_metatile=None, empty_tile=None)
-    result = generate_tiles(layer, concurrency=(1, 2))
+    result = generate_tiles(layer)
     assert result.summary["tiles_stored"] == 8
     assert result.summary["metatiles_generated"] == 10
 

@@ -390,3 +390,41 @@ def test_dedup_partition_matches_pandas_reference(picks, seed):
     got = make_dedup_partition("doc_id")(tagged)
     assert got.to_pydict() == _pandas_dedup_reference(tagged, "doc_id").to_pydict()
     assert got.schema.names == ["doc_id", "lang", "quality", "text"]
+
+
+@pytest.mark.parametrize("cluster", [False, True])
+def test_exact_dedup_exchange_carries_no_bucket_tag(monkeypatch, on_cluster, cluster):
+    """curate_corpus tags rows with ``content_md5`` alone: the exact-dedup
+    exchange input has no ``_bucket`` column (only curate_resumable's
+    committed partials keep it), and the survivors are the min key per
+    text on either placement."""
+    import contextlib
+
+    import pyarrow as pa
+
+    import tilecloud_chain_ray.pipelines.curate as curate
+
+    seen = []
+    exchange = curate.exchange_refs
+
+    def recording(refs, keys, kernel, in_bytes, *args):
+        seen.append({n for t in ray.get(list(refs)) for n in t.schema.names})
+        return exchange(refs, keys, kernel, in_bytes, *args)
+
+    monkeypatch.setattr(curate, "exchange_refs", recording)
+    rng = np.random.default_rng(9)
+    picks = rng.integers(0, 150, 400)
+    docs = ray.data.from_arrow(
+        pa.table(
+            {
+                "doc_id": pa.array(rng.permutation(400), pa.int64()),
+                "lang": [("de", "en")[p % 2] for p in picks],
+                "text": [f"the page numbered {p} of a small corpus" for p in picks],
+            }
+        )
+    ).repartition(4)
+    with on_cluster() if cluster else contextlib.nullcontext():
+        surv = curate_corpus(docs, quality_min=0.0).survivors.to_pandas()
+    assert len(seen) == 1 and "content_md5" in seen[0] and "_bucket" not in seen[0]
+    want = docs.to_pandas().groupby("text")["doc_id"].min()
+    assert sorted(surv["doc_id"]) == sorted(want)

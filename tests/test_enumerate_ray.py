@@ -54,7 +54,7 @@ def test_box_intersects_many_matches_scalar():
 def test_dense_dataset_filtered_ten_metatiles():
     layer = point_layer()
     ds = dense_coord_dataset(layer)
-    filtered = add_geom_filter(ds, layer, concurrency=2)
+    filtered = add_geom_filter(ds, layer)
     rows = filtered.take_all()
     assert len(rows) == 10
     by_zoom = {}
@@ -69,7 +69,7 @@ def test_dense_dataset_filtered_ten_metatiles():
 @pytest.mark.usefixtures("ray_session")
 def test_sparse_dataset_six_jobs():
     layer = point_layer(name="point")
-    ds = sparse_coord_dataset(layer, concurrency=2)
+    ds = sparse_coord_dataset(layer)
     rows = ds.take_all()
     got = {(r["z"], r["x"], r["y"]) for r in rows}
     assert got == {
@@ -90,14 +90,11 @@ def test_dense_dataset_247_no_meta():
 
 
 @pytest.mark.usefixtures("ray_session")
-@pytest.mark.parametrize("concurrency", [2, (1, 4)])
-def test_sparse_walk_is_a_task_map(concurrency):
+def test_sparse_walk_is_a_task_map(actor_pools):
     """The band walk is a plain task map (no actor pool, whose object-store
-    constructor arguments break its restart), accepts both concurrency
-    forms, and gives exactly the coords of walking every band row of
-    every zoom on the driver."""
+    constructor arguments break its restart) and gives exactly the
+    coords of walking every band row of every zoom on the driver."""
     import pyarrow as pa
-    from ray.data import ActorPoolStrategy
 
     from tilecloud_chain_ray.coords import sparse_row_intervals
     from tilecloud_chain_ray.sources.enumerate import expand_intervals_batch, intervals_to_table
@@ -110,12 +107,8 @@ def test_sparse_walk_is_a_task_map(concurrency):
         ),
         min_resolution_seed=12,
     )
-    ds = sparse_coord_dataset(layer, concurrency=concurrency)
-    op, ops = ds._logical_plan.dag, []
-    while op is not None:
-        ops.append(op)
-        op = op.input_dependencies[0] if op.input_dependencies else None
-    assert not any(isinstance(getattr(o, "_compute", None), ActorPoolStrategy) for o in ops)
+    ds = sparse_coord_dataset(layer)
+    assert actor_pools(ds) == []
 
     geoms = layer.geoms_per_zoom()
     ref = expand_intervals_batch(

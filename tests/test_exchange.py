@@ -201,3 +201,32 @@ def test_hash_group_blocks_width_exceeds_keys(ray_session, at_width):
         out = exchange_aggregate(ds, ["g"], [("v", "sum")], ["g", "v_sum"]).to_pandas()
     assert sorted(out["g"]) == [1, 2]
     assert out["v_sum"].sum() == sum(range(100))
+
+
+def test_exchange_recovers_from_a_lost_worker(ray_session, at_width, tmp_path):
+    """A merge task whose worker process dies (``os._exit``) on the
+    first kernel call is retried by Ray, and the exchange's output is
+    that of a run with no loss."""
+    import os
+
+    marker = str(tmp_path / "killed")
+
+    def sums(t: pa.Table) -> pa.Table:
+        if t.num_rows == 0:
+            return t
+        return t.group_by(["g"]).aggregate([("v", "sum")])
+
+    def dies_once(t: pa.Table) -> pa.Table:
+        try:
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        except FileExistsError:
+            return sums(t)
+        os._exit(1)
+
+    ds = ray.data.from_arrow(_table(n=600, seed=4)).repartition(5).materialize()
+    with at_width(4):
+        want = hash_group_blocks(ds, ["g"], sums).to_pandas()
+        got = hash_group_blocks(ds, ["g"], dies_once).to_pandas()
+    assert os.path.exists(marker)
+    key = lambda df: df.sort_values("g").reset_index(drop=True)  # noqa: E731
+    pd.testing.assert_frame_equal(key(got), key(want))

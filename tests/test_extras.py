@@ -129,7 +129,7 @@ def test_manifest_and_server(tmp_path):
     layer = point_layer()
     wmts = str(tmp_path / "wmts")
     pq_dir = str(tmp_path / "tiles_pq")
-    result = generate_tiles(layer, out_wmts=wmts, out_parquet=pq_dir, concurrency=(1, 2))
+    result = generate_tiles(layer, out_wmts=wmts, out_parquet=pq_dir)
 
     manifest_path = write_manifest(str(tmp_path), [layer], result.tiles)
     doc = json.load(open(manifest_path))

@@ -62,7 +62,7 @@ def test_empty_signatures_deterministic():
 def test_point_hash_golden_run(tmp_path):
     layer = point_hash_layer()
     out = str(tmp_path / "tiles")
-    result = generate_tiles(layer, out_wmts=out, concurrency=2)
+    result = generate_tiles(layer, out_wmts=out)
     assert result.summary == {
         "tiles_generated": 384,
         "tiles_dropped": 376,
@@ -97,7 +97,7 @@ def test_point_px_buffer_golden(tmp_path):
     # test_generate.py:1319-1344: px_buffer=100, zooms 0-2 -> 384 generated,
     # 378 dropped, 6 stored
     layer = point_hash_layer(name="point_px_buffer", px_buffer=100, min_resolution_seed=None)
-    result = generate_tiles(layer, zooms=[0, 1, 2], concurrency=2)
+    result = generate_tiles(layer, zooms=[0, 1, 2])
     assert result.summary["tiles_stored"] == 6
     assert result.summary["tiles_generated"] == 384
     assert result.summary["tiles_dropped"] == 378
@@ -116,7 +116,7 @@ def test_polygon_no_meta(tmp_path):
         meta=False,
         dimensions=(DATE,),
     )
-    result = generate_tiles(layer, zooms=[0], concurrency=2)
+    result = generate_tiles(layer, zooms=[0])
     assert result.summary["tiles_generated"] == 12
     assert result.summary["tiles_stored"] == 12
 
@@ -127,7 +127,7 @@ def test_master_sparse_role(tmp_path):
     # metatile jobs -> 384 generated; without empty-tile hashes everything
     # is stored (the reference's layer `point` has no hash config)
     layer = point_hash_layer(name="point")
-    result = generate_tiles(layer, role="master", auto_empty=False, concurrency=2)
+    result = generate_tiles(layer, role="master", auto_empty=False)
     assert result.summary["tiles_generated"] == 384
     assert result.summary["tiles_stored"] == 384
     assert result.summary["metatiles_generated"] == 6
@@ -139,7 +139,7 @@ def test_zoom_filter_single(tmp_path):
     # --zoom 1 (test_generate.py:1218-1244): 1 metatile, 64 generated,
     # 62 dropped, 2 stored at (1,11,14),(1,15,8)
     layer = point_hash_layer()
-    result = generate_tiles(layer, zooms=[1], concurrency=(1, 2))
+    result = generate_tiles(layer, zooms=[1])
     assert result.summary == {
         "tiles_generated": 64,
         "tiles_dropped": 62,
@@ -154,7 +154,7 @@ def test_zoom_filter_range(tmp_path):
     # --zoom 1-3 (test_generate.py:1246-1280): 9 metatiles, 4 dropped,
     # 320 generated, 314 dropped, 6 stored
     layer = point_hash_layer()
-    result = generate_tiles(layer, zooms=[1, 2, 3], concurrency=(1, 2))
+    result = generate_tiles(layer, zooms=[1, 2, 3])
     assert result.summary == {
         "tiles_generated": 320,
         "tiles_dropped": 314,
@@ -177,9 +177,7 @@ def test_no_meta_dense_247(tmp_path):
         meta=False,
         dimensions=(DATE,),
     )
-    result = generate_tiles(
-        layer, zooms=[0], concurrency=(1, 2), render_geometries=(POINTS,)
-    )
+    result = generate_tiles(layer, zooms=[0], render_geometries=(POINTS,))
     assert result.summary["tiles_generated"] == 247
     assert result.summary["tiles_dropped"] == 245
     assert result.summary["tiles_stored"] == 2

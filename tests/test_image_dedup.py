@@ -85,9 +85,7 @@ def test_image_near_dup_finds_planted_variants(method):
             {"media_id": pa.array(ids, pa.int64()), "payload": pa.array(payloads, pa.binary())}
         )
     ).repartition(4)
-    pairs = image_near_dup_pairs(
-        media, codec="png", method=method, max_hamming=3, concurrency=(1, 2)
-    ).to_pandas()
+    pairs = image_near_dup_pairs(media, codec="png", method=method, max_hamming=3).to_pandas()
     got = {(a, b) for a, b in zip(pairs["key_a"], pairs["key_b"])}
     for i in range(n):
         assert (i, 1000 + i) in got, f"variant of {i} missed by {method}"
@@ -110,7 +108,7 @@ def test_image_near_dup_distributed_matches_driver(on_cluster):
             {"media_id": pa.array(ids, pa.int64()), "payload": pa.array(payloads, pa.binary())}
         )
     )
-    kw = dict(codec="png", method="dhash", max_hamming=3, concurrency=(1, 2))
+    kw = dict(codec="png", method="dhash", max_hamming=3)
     fast = image_near_dup_pairs(media, **kw).to_pandas()
     with on_cluster():
         dist = image_near_dup_pairs(media, **kw).to_pandas()
@@ -138,8 +136,8 @@ def test_cross_codec_near_dup_via_shared_machinery():
             }
         )
     )
-    hashed = image_hashes(mk(png_rows), codec="png", concurrency=(1, 2)).union(
-        image_hashes(mk(jpg_rows), codec="jpeg", concurrency=(1, 2))
+    hashed = image_hashes(mk(png_rows), codec="png").union(
+        image_hashes(mk(jpg_rows), codec="jpeg")
     )
     pairs = hamming_blocked_pairs(
         hashed, key_col="media_id", hash_col="imghash", max_hamming=3

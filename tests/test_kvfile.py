@@ -131,7 +131,7 @@ def generated(ray_session, tmp_path_factory):
         min_resolution_seed=10,
     )
     wmts = str(out / "wmts")
-    result = generate_tiles(layer, out_wmts=wmts, concurrency=(1, 2))
+    result = generate_tiles(layer, out_wmts=wmts)
     kv_path = str(out / "tiles.kv")
     n = write_kvfile(result.tiles, kv_path, layer=layer)
     return layer, wmts, kv_path, n

@@ -1,12 +1,14 @@
-"""Operators ask only a materialized dataset for its schema or a row.
+"""Operators ask only a materialized dataset for its schema, a row or
+a limit.
 
 ``Dataset.schema()`` or ``Dataset.take()`` on a lazy dataset runs the
-plan until its first block and cancels the tasks still in flight; a
-task reply that races such a cancellation can trip a fatal check in
-Ray's core worker and kill the driver.  Here ``Dataset.schema`` and
-``Dataset.take`` fail on any dataset that is not materialized, and the
-operators that need a schema or a first row run on lazy inputs through
-them."""
+plan until its first block and cancels the tasks still in flight, and
+so does a ``Dataset.limit()`` once it has its rows; a task reply that
+races such a cancellation can trip a fatal check in Ray's core worker
+and kill the driver.  Here ``Dataset.schema``, ``Dataset.take`` and
+``Dataset.limit`` fail on any dataset that is not materialized, and the
+operators that need a schema, a first row or a sample run on lazy
+inputs through them."""
 
 import numpy as np
 import pyarrow as pa
@@ -45,6 +47,23 @@ def materialized_take_only():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Dataset, "take", guarded)
+        yield
+
+
+@pytest.fixture
+def materialized_limit_only():
+    from ray.data import Dataset
+    from ray.data.dataset import MaterializedDataset
+
+    limit = Dataset.limit
+
+    def guarded(self, *args, **kwargs):
+        if not isinstance(self, MaterializedDataset):
+            raise AssertionError("limit() asked of a lazy dataset")
+        return limit(self, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Dataset, "limit", guarded)
         yield
 
 
@@ -134,3 +153,19 @@ def test_embedding_near_dup_on_lazy_input():
     got = pairs(lazy(tbl))
     assert got == pairs(ray.data.from_arrow(tbl).materialize())
     assert {(i, 120 + i) for i in range(30)} <= set(got)
+
+
+@pytest.mark.usefixtures(
+    "ray_session", "materialized_schema_only", "materialized_take_only", "materialized_limit_only"
+)
+def test_train_char_lm_on_lazy_input():
+    from tilecloud_chain_ray.stages.lm import train_char_lm
+
+    rng = np.random.default_rng(6)
+    vocab = ["north", "south", "harbour", "signal", "meadow"]
+    tbl = pa.table({"text": [" ".join(rng.choice(vocab, 10)) for _ in range(90)]})
+    got = train_char_lm(lazy(tbl), sample_max_docs=30)
+    ref = train_char_lm(ray.data.from_arrow(tbl).materialize(), sample_max_docs=30)
+    assert len(got.tri_keys) > 0
+    np.testing.assert_array_equal(got.tri_keys, ref.tri_keys)
+    np.testing.assert_array_equal(got.tri_counts, ref.tri_counts)

@@ -123,3 +123,23 @@ def test_lm_scoring_multibyte_utf8():
     lp = lm_score_batch(batch, m)["lm_logprob"].to_pylist()
     for i, t in enumerate(texts):
         assert abs(lp[i] - reference_logprob(m, t)) < 1e-12
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_sampled_model_does_not_depend_on_block_order():
+    """Above ``sample_max_docs`` the training rows are a hash sample of
+    the texts, so the same rows in another block order train the same
+    model (a first-rows cut would train on different rows)."""
+    import ray
+
+    rng = np.random.default_rng(11)
+    words = ["river", "stone", "quiet", "lamp", "orbit", "maple", "zinc", "fjord"]
+    texts = [" ".join(rng.choice(words, 9)) + f" #{i}" for i in range(300)]
+    forward = ray.data.from_arrow(pa.table({"text": texts})).repartition(5)
+    backward = ray.data.from_arrow(pa.table({"text": texts[::-1]})).repartition(3)
+    a = train_char_lm(forward, sample_max_docs=60)
+    b = train_char_lm(backward, sample_max_docs=60)
+    full = train_char_lm(forward, sample_max_docs=300)
+    for field in ("tri_keys", "tri_counts", "bi_keys", "bi_counts"):
+        np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+    assert a.tri_counts.sum() < full.tri_counts.sum()  # 60 of the 300 rows

@@ -27,7 +27,7 @@ def generated(ray_session, tmp_path_factory):
         min_resolution_seed=10,
     )
     wmts = str(out / "wmts")
-    result = generate_tiles(layer, out_wmts=wmts, concurrency=(1, 2))
+    result = generate_tiles(layer, out_wmts=wmts)
     mb_path = str(out / "tiles.mbtiles")
     n = write_mbtiles(result.tiles, mb_path, layer=layer)
     return layer, wmts, mb_path, n

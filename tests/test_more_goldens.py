@@ -50,9 +50,7 @@ def test_zoom_identifier_golden(tmp_path, zoom, matrix, rows, cols, stored):
     # reference test_generate.py:1102-1184: -t 1 (first metatile only),
     # one zoom at a time; exact stored tile sets under resolution paths
     out = str(tmp_path / "tiles")
-    result = generate_tiles(
-        polygon2_layer(), zooms=[zoom], test_n=1, out_wmts=out, concurrency=(1, 2)
-    )
+    result = generate_tiles(polygon2_layer(), zooms=[zoom], test_n=1, out_wmts=out)
     assert result.summary["metatiles_generated"] == 1
     assert result.summary["metatiles_dropped"] == 0
     assert result.summary["tiles_generated"] == 64
@@ -100,12 +98,9 @@ def test_utfgrid_pipeline_drop_empty(tmp_path):
     from tilecloud_chain_ray.stages.geom_filter import add_geom_filter
 
     coords = dense_coord_dataset(layer, zooms=[0])
-    coords = add_geom_filter(coords, layer, concurrency=(1, 2))
+    coords = add_geom_filter(coords, layer)
     tiles = coords.map_batches(
-        UTFGridRenderer,
-        fn_constructor_kwargs={"layer": layer, "drop_empty": True},
-        batch_format="pyarrow",
-        concurrency=(1, 2),
+        UTFGridRenderer(layer=layer, drop_empty=True), batch_format="pyarrow"
     )
     rows = tiles.take_all()
     assert len(rows) == 12  # all 12 filtered tiles reach the renderer
@@ -166,7 +161,6 @@ def test_multi_grid_union():
     result = generate_tiles_multi_grid(
         [Layer(name="polygon", grid=SWISSGRID_5, **base)],
         zooms=[0],
-        concurrency=(1, 2),
     )
     assert result.summary["tiles_stored"] == 12
 
@@ -199,7 +193,7 @@ def test_multigeom_golden(tmp_path):
         dimensions=(DATE,),
     )
     out = str(tmp_path / "tiles")
-    result = generate_tiles(layer, out_wmts=out, concurrency=(1, 2))
+    result = generate_tiles(layer, out_wmts=out)
     assert result.summary["tiles_generated"] == 51
     assert result.summary["tiles_dropped"] == 0
     assert result.summary["tiles_stored"] == 51

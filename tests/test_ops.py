@@ -372,8 +372,8 @@ def test_copy_cache_roundtrip(tmp_path):
     )
     src = str(tmp_path / "src")
     dst = str(tmp_path / "dst")
-    generate_tiles(layer, out_wmts=src, concurrency=(1, 2))
-    n = copy_cache(src, dst, layer, concurrency=(1, 2))
+    generate_tiles(layer, out_wmts=src)
+    n = copy_cache(src, dst, layer)
     assert n == 8
     back = read_wmts_layout(dst, layer)
     assert back.count() == 8
@@ -659,7 +659,7 @@ def test_generate_from_tiles_file_rerun(tmp_path):
     p = tmp_path / "error.list"
     p.write_text("3/64/56:+8/+8\n3/40/72:+8/+8\n")
     out = str(tmp_path / "wmts")
-    result = generate_tiles(layer, tiles_file=str(p), out_wmts=out, concurrency=(1, 2))
+    result = generate_tiles(layer, tiles_file=str(p), out_wmts=out)
     assert result.summary == {
         "tiles_generated": 128,
         "tiles_dropped": 126,

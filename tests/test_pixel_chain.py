@@ -171,7 +171,7 @@ def test_serving_path_splits_pixels_like_png():
 
 @pytest.mark.usefixtures("ray_session")
 def test_auto_empty_false_drops_no_metatile():
-    result = generate_tiles(point_layer(), zooms=[0, 1], auto_empty=False, concurrency=2)
+    result = generate_tiles(point_layer(), zooms=[0, 1], auto_empty=False)
     assert result.summary["metatiles_dropped"] == 0
     assert result.summary["tiles_dropped"] == 0
     assert result.summary["tiles_generated"] > 0
@@ -186,7 +186,7 @@ def test_generate_and_resumable_share_the_chain(tmp_path):
             (r["z"], r["x"], r["y"], r["status"], r["sha1"]) for r in records
         )
 
-    streamed = rows(generate_tiles(layer, concurrency=2, with_summary=False).tiles.take_all())
+    streamed = rows(generate_tiles(layer, with_summary=False).tiles.take_all())
     summary = generate_resumable(layer, str(tmp_path / "pyramid"))
     assert summary["tiles_generated"] == 384
     assert summary["metatiles_dropped"] == 4

@@ -287,7 +287,7 @@ def test_generate_tiles_same_at_any_width(ray_session, monkeypatch, tmp_path):
     outs = []
     for cpus in (1, 4):
         _mock_cpus(monkeypatch, cpus)
-        result = generate_tiles(layer, out_parquet=str(tmp_path / f"cpus{cpus}"), concurrency=2)
+        result = generate_tiles(layer, out_parquet=str(tmp_path / f"cpus{cpus}"))
         outs.append((result.summary, _tile_digests(result.tiles)))
     assert outs[0] == outs[1]
     assert outs[0][0]["tiles_stored"] == 8

@@ -160,7 +160,7 @@ def pyramid(tmp_path_factory, request):
 
     root = str(tmp_path_factory.mktemp("pyramid"))
     layer = make_layer()
-    generate_tiles(layer, out_wmts=root, concurrency=2, with_summary=False).tiles.count()
+    generate_tiles(layer, out_wmts=root, with_summary=False).tiles.count()
     return root
 
 
@@ -486,9 +486,7 @@ def test_wmts_writer_uri_filesystem(pyramid, tmp_path):
 
     out = str(tmp_path / "fs_tiles")
     layer = make_layer()
-    generate_tiles(
-        layer, out_wmts=f"file://{out}", concurrency=2, with_summary=False
-    ).tiles.count()
+    generate_tiles(layer, out_wmts=f"file://{out}", with_summary=False).tiles.count()
 
     def tree(root):
         return {

@@ -12,7 +12,7 @@ Reference parity: the reference pipeline gets JPEG via Pillow
 the same wire format from the published spec, not a port.
 
 Hot-path note: per-symbol Huffman decoding is Python-loop bound — fine
-for the actor-pool decode stage's small batches (the contract in
+for the task-map decode stage's small batches (the contract in
 stages/multimodal.py), and the IDCT/color legs are vectorized numpy.
 """
 

@@ -1,6 +1,6 @@
 """Packed STR (Sort-Tile-Recursive) bounding-box tree.
 
-Bulk-loaded once per actor in the PIP-join / geometry-filter actor pools
+Bulk-loaded once per worker process in the PIP-join / renderer task stages
 (the role shapely's STRtree plays in the north rule).  Query returns
 candidate geometry indices whose bbox intersects the query box; callers
 refine with exact predicates.

@@ -1,7 +1,7 @@
 """WKB (well-known binary) encode/decode for the geometry types.
 
 Standard OGC WKB, little-endian, 2D.  Used to ship layer geometries
-through the object store (``ray.put`` of WKB blobs -> actor-side decode),
+through the object store (``ray.put`` of WKB blobs -> worker-side decode),
 the role PostGIS WKB plays in the reference
 (``/root/reference/tilecloud_chain/__init__.py:1863-1886``).
 """

@@ -16,7 +16,7 @@ import pyarrow as pa
 import ray
 
 from tilecloud_chain_ray.config import Layer
-from tilecloud_chain_ray.sinks.wmts import WmtsWriter
+from tilecloud_chain_ray.sinks.wmts import write_wmts
 
 _PATH_RE = re.compile(
     r"1\.0\.0/(?P<layer>[^/]+)/(?P<style>[^/]+)/(?P<dims>.*?)(?P<grid>[^/]+)/"
@@ -64,17 +64,10 @@ def copy_cache(
     dst_root: str,
     layer: Layer,
     process=None,
-    concurrency: int | tuple[int, int] = (1, 4),
 ) -> int:
     """Copy a cache tree (optionally transforming tile bytes); returns
     the number of tiles copied."""
     tiles = read_wmts_layout(src_root, layer)
     if process is not None:
         tiles = tiles.map_batches(process, batch_format="pyarrow")
-    written = tiles.map_batches(
-        WmtsWriter,
-        fn_constructor_kwargs={"layer": layer, "root": dst_root},
-        batch_format="pyarrow",
-        concurrency=concurrency,
-    )
-    return written.count()
+    return write_wmts(tiles, layer, dst_root).count()

@@ -55,6 +55,7 @@ from tilecloud_chain_ray.stages.curation import (
     hash_sample,
     repetition_fraction_batch,
 )
+from tilecloud_chain_ray.stages.dedup import add_md5
 from tilecloud_chain_ray.stages.text import quality_score_batch, token_count_batch
 from tilecloud_chain_ray.util import block_refs, exchange_refs, read_parquet_clean
 
@@ -94,9 +95,12 @@ def make_analyze_filter(
 
 
 def make_md5_bucket(text_col: str):
-    """Batch kernel appending ``content_md5`` (hex) and ``_bucket``
-    (the digest's first 8 bytes mod ``DEDUP_BUCKETS``) — one md5
-    pass emits both.  Shared by curate_corpus and curate_resumable."""
+    """Batch kernel appending ``content_md5`` (hex, as
+    ``stages.dedup.add_md5``) and ``_bucket`` (the digest's first 8
+    bytes mod ``DEDUP_BUCKETS``) — one md5 pass emits both.
+    curate_resumable's per-shard commit tags with it, so its partials
+    keep the ``_bucket`` column that older job directories hold;
+    nothing reads the column."""
 
     def add_bucket(batch: pa.Table) -> pa.Table:
         texts = batch[text_col].to_pylist()
@@ -134,7 +138,7 @@ def make_dedup_partition(key_col: str):
 
 
 def exact_dedup_refs(tagged: ray.data.Dataset, key_col: str) -> tuple[list, list[int]]:
-    """Exact content dedup of md5-tagged rows (:func:`make_md5_bucket`)
+    """Exact content dedup of md5-tagged rows (``content_md5``)
     as ``(refs, rows)`` of the survivor blocks: ``tagged`` materializes
     once and one task exchange hash-partitioned on ``content_md5`` keeps
     the min key per md5 (:func:`make_dedup_partition`).  Shared by
@@ -182,9 +186,10 @@ def curate_corpus(
     pair-expansion pass over the survivors.
 
     ``lm_max_ppl`` (opt-in) adds the CCNet-style perplexity cut: a
-    byte-trigram LM trains on the first ``lm_sample_max_docs`` rows of
-    the RULE-FILTERED stream (the trusted slice) and rows above the
-    perplexity ceiling are dropped before dedup (stages/lm.py).
+    byte-trigram LM trains on a hash sample of ``lm_sample_max_docs``
+    rows (every row when there are no more) of the RULE-FILTERED stream
+    (the trusted slice) and rows above the perplexity ceiling are
+    dropped before dedup (stages/lm.py).
 
     ``substring_k`` (opt-in) runs the Lee-et-al ExactSubstr pass FIRST
     — duplicated word runs (every ``substring_k``-gram occurring
@@ -256,7 +261,8 @@ def curate_corpus(
     # layout-free).  Its output stays block refs, which the near-dedup
     # tail starts from with no Dataset in between.
     refs, rows = exact_dedup_refs(
-        filtered.map_batches(make_md5_bucket(text_col), batch_format="pyarrow"), key_col
+        filtered.map_batches(add_md5, fn_kwargs={"text_col": text_col}, batch_format="pyarrow"),
+        key_col,
     )
 
     if embeddings is not None:

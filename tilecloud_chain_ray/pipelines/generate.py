@@ -26,7 +26,7 @@ import pyarrow as pa
 import ray
 
 from tilecloud_chain_ray.config import Layer
-from tilecloud_chain_ray.sinks.wmts import WmtsWriter, summarize
+from tilecloud_chain_ray.sinks.wmts import summarize, write_wmts
 from tilecloud_chain_ray.sources.enumerate import dense_coord_dataset, sparse_coord_dataset
 from tilecloud_chain_ray.stages.geom_filter import add_geom_filter
 from tilecloud_chain_ray.stages.hashdrop import (
@@ -71,7 +71,7 @@ def fetch_status_to_inband(batch: pa.Table) -> pa.Table:
     return batch.drop_columns(["fetch_status"]).append_column("status", statuses)
 
 
-# metatiles whose pixels one ``tile_chain`` call holds at a time:
+# (meta)tiles whose pixels one ``tile_chain`` call holds at a time:
 # 8 x 21 MiB at meta_size 8, buffer 128 and 256 px tiles
 PIXEL_BATCH = 8
 
@@ -124,8 +124,6 @@ def generate_tiles(
     out_parquet: str | None = None,
     renderer_cls=GeometryRenderer,
     renderer_kwargs: dict | None = None,
-    concurrency: int | tuple[int, int] = (1, 4),
-    render_batch_size: int = 8,
     auto_empty: bool = True,
     with_summary: bool = True,
     test_n: int | None = None,
@@ -150,9 +148,7 @@ def generate_tiles(
         from tilecloud_chain_ray.sources.tiles_file import tiles_file_dataset
 
         coords = tiles_file_dataset(tiles_file, layer.name, layer.grid.name)
-        coords = add_geom_filter(
-            coords, layer, geoms=geoms, concurrency=concurrency, batch_size=None
-        )
+        coords = add_geom_filter(coords, layer, geoms=geoms, batch_size=None)
     elif test_n is not None:
         # --test N (reference __init__.py:2389-2391): take the first N
         # (meta)tile coords in enumeration order.  Driver-side so the
@@ -182,9 +178,9 @@ def generate_tiles(
                 schema=COORD_SCHEMA,
             )
         )
-        coords = add_geom_filter(coords, layer, geoms=geoms, concurrency=concurrency)
+        coords = add_geom_filter(coords, layer, geoms=geoms)
     elif role == "master":
-        coords = sparse_coord_dataset(layer, cli_bbox=cli_bbox, zooms=zooms, concurrency=concurrency)
+        coords = sparse_coord_dataset(layer, cli_bbox=cli_bbox, zooms=zooms)
     else:
         from tilecloud_chain_ray.coords import dense_intervals
 
@@ -195,9 +191,7 @@ def generate_tiles(
         # per core, raised per enumerate.BLOCK_UNIT coords), and a
         # row-count batch size would let the bundler merge them back
         # into one fused task
-        coords = add_geom_filter(
-            coords, layer, geoms=geoms, concurrency=concurrency, batch_size=None
-        )
+        coords = add_geom_filter(coords, layer, geoms=geoms, batch_size=None)
     coords = add_dimensions(coords, layer)
 
     empty_meta = layer.empty_metatile
@@ -209,10 +203,9 @@ def generate_tiles(
 
     # the renderer draws the layer's own source geometries (the WMS/Mapnik
     # data analog), independent of the seeding bbox/geometry filter.
-    # Renderer state is cheap (decoded geoms via one broadcast ray.put,
-    # color table) -> a task-based stage with a per-process cache, one
-    # fused operator on warm workers; a true actor pool only pays off
-    # for heavy state (see stages/pip_join.py).
+    # Renderer state (decoded geoms via one broadcast ray.put, color
+    # table) is built once per worker process: a task-based stage, one
+    # fused operator on warm workers.
     from tilecloud_chain_ray.util import process_cached
 
     if wms_url is not None:
@@ -245,24 +238,16 @@ def generate_tiles(
     chain = tile_chain(layer, empty_meta, empty_tile, render_fn)
 
     def render_block(block: pa.Table):
-        # render_batch_size rows per call inside each block, with no
+        # PIXEL_BATCH rows per call inside each block, with no
         # batch_size on the map: that would bundle small input blocks
         # (the fused enumeration's interval rows) into one task
-        step = render_batch_size or max(block.num_rows, 1)
-        for start in range(0, max(block.num_rows, 1), step):
-            yield chain(block.slice(start, step))
+        for start in range(0, max(block.num_rows, 1), PIXEL_BATCH):
+            yield chain(block.slice(start, PIXEL_BATCH))
 
     tiles = rows.map_batches(render_block, batch_format="pyarrow", batch_size=None)
 
     if out_wmts is not None:
-
-        def write_fn(batch: pa.Table) -> pa.Table:
-            w = process_cached(
-                ("wmts_writer", layer.name, out_wmts), lambda: WmtsWriter(layer, out_wmts)
-            )
-            return w(batch)
-
-        tiles = tiles.map_batches(write_fn, batch_format="pyarrow")
+        tiles = write_wmts(tiles, layer, out_wmts)
     if out_parquet is not None:
         # consume: write the tile table (drops nothing; statuses kept for lineage)
         tiles.write_parquet(out_parquet, partition_cols=["z"])
@@ -281,8 +266,6 @@ def generate_tiles_multi_grid(
     cli_bbox: tuple[float, float, float, float] | None = None,
     zooms: Sequence[int] | None = None,
     out_wmts: str | None = None,
-    concurrency: int | tuple[int, int] = (1, 4),
-    render_batch_size: int = 8,
 ) -> GenerateResult:
     """Multi-grid layer run (§2.7): the reference concatenates a layer's
     per-grid tile streams (``__init__.py:2182-2230``); here each grid is
@@ -297,8 +280,6 @@ def generate_tiles_multi_grid(
             cli_bbox=cli_bbox,
             zooms=zooms,
             out_wmts=out_wmts,
-            concurrency=concurrency,
-            render_batch_size=render_batch_size,
             with_summary=False,
         )
         for layer in layers

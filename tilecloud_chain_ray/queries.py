@@ -26,7 +26,7 @@ from tilecloud_chain_ray.functions.hashing import micro_from_ids, micro_tile
 from tilecloud_chain_ray.geom import box
 from tilecloud_chain_ray.grid import SWISSGRID_5
 from tilecloud_chain_ray.stages.geocode import make_geocoder
-from tilecloud_chain_ray.stages.pip_join import pip_join_tasks
+from tilecloud_chain_ray.stages.pip_join import pip_join
 from tilecloud_chain_ray.stages import dedup as dedup_mod
 from tilecloud_chain_ray.stages import knn as knn_mod
 from tilecloud_chain_ray.stages.text import (
@@ -212,9 +212,7 @@ def _geocoded_docs(sf_dir: str) -> ray.data.Dataset:
 
 
 def q_pip_layer_counts(sf_dir: str) -> ray.data.Dataset:
-    # task-based: 3 boxes of broadcast state — actor pools only pay off
-    # for heavy polygon payloads (see stages/pip_join.pip_join_tasks)
-    joined = pip_join_tasks(_geocoded_docs(sf_dir), PIP_LAYERS, mode="left", cache_key="pip3")
+    joined = pip_join(_geocoded_docs(sf_dir), PIP_LAYERS, mode="left", cache_key="pip3")
     return joined.groupby("layer").aggregate(Count(alias_name="n"))
 
 
@@ -223,8 +221,8 @@ def q_pip_join_rows(sf_dir: str) -> ray.data.Dataset:
     queries, so the left-join rows and the inner-join pairs share one
     result tagged by ``mode`` — both code paths still run)."""
     geocoded = _geocoded_docs(sf_dir)
-    left = pip_join_tasks(geocoded, PIP_LAYERS, mode="left", cache_key="pip3")
-    inner = pip_join_tasks(geocoded, PIP_LAYERS, mode="inner", cache_key="pip3i")
+    left = pip_join(geocoded, PIP_LAYERS, mode="left", cache_key="pip3")
+    inner = pip_join(geocoded, PIP_LAYERS, mode="inner", cache_key="pip3i")
 
     def tag(mode: str):
         def fn(b: pa.Table) -> pa.Table:
@@ -245,20 +243,23 @@ def q_pip_join_rows(sf_dir: str) -> ray.data.Dataset:
 # ---------------------------------------------------------------------------
 
 
-def q_knn_cosine(sf_dir: str) -> ray.data.Dataset:
-    emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    # query extraction: take(5) early-stops the stream once the five
-    # ids (vec_id < 5) are found instead of scanning the whole table
+def _query_vectors(emb: ray.data.Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """The kNN queries: the embeddings of ``vec_id < 5``, by id.  The
+    filtered scan runs to the end (a lazy ``take(5)`` would cancel the
+    read tasks still in flight once five rows arrive)."""
     qrows = sorted(
-        (
-            (r["vec_id"], r["embedding"])
-            for r in emb.map_batches(
-                lambda b: b.filter(pc.less(b["vec_id"], 5)), batch_format="pyarrow"
-            ).take(5)
-        )
+        (r["vec_id"], r["embedding"])
+        for r in emb.map_batches(
+            lambda b: b.filter(pc.less(b["vec_id"], 5)), batch_format="pyarrow"
+        ).take_all()
     )
     qids = np.array([r[0] for r in qrows])
-    qvecs = np.stack([np.asarray(r[1], dtype=np.float64) for r in qrows])
+    return qids, np.stack([np.asarray(r[1], dtype=np.float64) for r in qrows])
+
+
+def q_knn_cosine(sf_dir: str) -> ray.data.Dataset:
+    emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
+    qids, qvecs = _query_vectors(emb)
     out = knn_mod.knn_brute(emb, qvecs, k=5, key_col="vec_id", query_ids=qids)
     return out.select_columns(["query_id", "vec_id", "rank"])
 
@@ -679,18 +680,7 @@ def q_knn_ann(sf_dir: str) -> ray.data.Dataset:
     FAISS-style IVF coarse quantizer — knn_ivf_exact separately anchors
     the IVF path to the brute-force oracle."""
     emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    # query extraction: take(5) early-stops the stream once the five
-    # ids (vec_id < 5) are found instead of scanning the whole table
-    qrows = sorted(
-        (
-            (r["vec_id"], r["embedding"])
-            for r in emb.map_batches(
-                lambda b: b.filter(pc.less(b["vec_id"], 5)), batch_format="pyarrow"
-            ).take(5)
-        )
-    )
-    qids = np.array([r[0] for r in qrows])
-    qvecs = np.stack([np.asarray(r[1], dtype=np.float64) for r in qrows])
+    qids, qvecs = _query_vectors(emb)
     lsh = knn_mod.knn_lsh(emb, qvecs, k=5, key_col="vec_id", query_ids=qids)
     ivf = knn_mod.knn_ivf(
         emb, qvecs, k=5, key_col="vec_id", query_ids=qids, n_lists=16, nprobe=4
@@ -862,7 +852,7 @@ def q_generate_point_hash(sf_dir: str) -> pa.Table:
     # ONE pipeline execution: pull the (tiny) tile table once and
     # derive both the counters and the stored-coordinate set from it
     # (with_summary=True would consume the lazy dataset a second time)
-    result = generate_tiles(layer, concurrency=(1, 2), with_summary=False)
+    result = generate_tiles(layer, with_summary=False)
     tbl = pa.concat_tables(
         b.select(["z", "x", "y", "status"])
         for b in result.tiles.iter_batches(batch_format="pyarrow")
@@ -932,7 +922,7 @@ def q_sparse_metatile_counts(sf_dir: str) -> ray.data.Dataset:
     from tilecloud_chain_ray.sources.enumerate import sparse_coord_dataset
 
     layer = _point_hash_layer(meta=True)
-    coords = sparse_coord_dataset(layer, concurrency=(1, 2))
+    coords = sparse_coord_dataset(layer)
     return coords.groupby("z").aggregate(Count(alias_name="n_metatiles"))
 
 
@@ -946,7 +936,7 @@ def q_geom_filter_counts(sf_dir: str) -> ray.data.Dataset:
 
     layer = _point_hash_layer(meta=True)
     coords = dense_coord_dataset(layer)
-    coords = add_geom_filter(coords, layer, concurrency=(1, 2))
+    coords = add_geom_filter(coords, layer)
     return coords.groupby("z").aggregate(Count(alias_name="n_metatiles"))
 
 
@@ -1007,8 +997,9 @@ def q_media_pipeline(sf_dir: str) -> pa.Table:
     aggregate, one row per codec (deterministic synthesis;
     rows-only)."""
     from tilecloud_chain_ray.stages.multimodal import (
-        MediaDecoder,
+        FrameSampler,
         MediaResizer,
+        decode_media,
         synthesize_media,
     )
 
@@ -1017,13 +1008,9 @@ def q_media_pipeline(sf_dir: str) -> pa.Table:
     for codec in ("png", "jpeg"):
         media = ray.data.from_arrow(synthesize_media(64, codec=codec))
         resized = media.map_batches(
-            MediaResizer, fn_constructor_kwargs={"target": 16, "codec": codec},
-            batch_format="pyarrow", batch_size=16, concurrency=(1, 2),
+            MediaResizer(target=16, codec=codec), batch_format="pyarrow", batch_size=16
         )
-        decoded = resized.map_batches(
-            MediaDecoder, fn_constructor_kwargs={"codec": codec},
-            batch_format="pyarrow", batch_size=16, concurrency=(1, 2),
-        )
+        decoded = decode_media(resized, codec=codec, batch_size=16)
         tbl = pa.concat_tables(decoded.iter_batches(batch_size=None, batch_format="pyarrow"))
         rows["codec"].append(codec)
         rows["n_media"].append(tbl.num_rows)
@@ -1036,18 +1023,12 @@ def q_media_pipeline(sf_dir: str) -> pa.Table:
         )
     # audio/video demux legs (functions/mp3.py, mp4.py): metadata decode
     # + frame-accurate sampling of REAL container payloads
-    from tilecloud_chain_ray.stages.multimodal import FrameSampler
-
     for codec, kind in (("mp3", "audio"), ("mp4", "video")):
         media = ray.data.from_arrow(synthesize_media(64, kind=kind, codec=codec))
-        decoded = media.map_batches(
-            MediaDecoder, fn_constructor_kwargs={"codec": codec},
-            batch_format="pyarrow", batch_size=16, concurrency=(1, 2),
-        )
+        decoded = decode_media(media, codec=codec, batch_size=16)
         tbl = pa.concat_tables(decoded.iter_batches(batch_size=None, batch_format="pyarrow"))
         sampled = media.map_batches(
-            FrameSampler, fn_constructor_kwargs={"n_frames": 4, "container": codec},
-            batch_format="pyarrow", batch_size=16, concurrency=(1, 2),
+            FrameSampler(n_frames=4, container=codec), batch_format="pyarrow", batch_size=16
         )
         n_sampled = sampled.count()
         rows["codec"].append(codec)
@@ -1093,9 +1074,7 @@ def q_media_pipeline(sf_dir: str) -> pa.Table:
         )
     )
     for method in ("dhash", "phash"):
-        pairs = image_near_dup_pairs(
-            media, codec="png", method=method, max_hamming=3, concurrency=(1, 2)
-        ).to_pandas()
+        pairs = image_near_dup_pairs(media, codec="png", method=method, max_hamming=3).to_pandas()
         got = {(a, b) for a, b in zip(pairs["key_a"], pairs["key_b"])}
         want = {(i, 1000 + i) for i in range(n_img)}
         rows["codec"].append(f"img_{method}")
@@ -1131,7 +1110,7 @@ def q_media_pipeline(sf_dir: str) -> pa.Table:
             {"media_id": pa.array(ids, pa.int64()), "payload": pa.array(payloads, pa.binary())}
         )
     )
-    pairs = audio_near_dup_pairs(clips, max_hamming=3, concurrency=(1, 2)).to_pandas()
+    pairs = audio_near_dup_pairs(clips, max_hamming=3).to_pandas()
     got = {(a, b) for a, b in zip(pairs["key_a"], pairs["key_b"])}
     rows["codec"].append("audio_fp")
     rows["n_media"].append(2 * n_clip)
@@ -1249,18 +1228,7 @@ def q_knn_ivf_exact(sf_dir: str) -> ray.data.Dataset:
     """IVF with nprobe = n_lists: every list probed -> exact top-k, so
     the ANN index path shares the brute-force oracle."""
     emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    # query extraction: take(5) early-stops the stream once the five
-    # ids (vec_id < 5) are found instead of scanning the whole table
-    qrows = sorted(
-        (
-            (r["vec_id"], r["embedding"])
-            for r in emb.map_batches(
-                lambda b: b.filter(pc.less(b["vec_id"], 5)), batch_format="pyarrow"
-            ).take(5)
-        )
-    )
-    qids = np.array([r[0] for r in qrows])
-    qvecs = np.stack([np.asarray(r[1], dtype=np.float64) for r in qrows])
+    qids, qvecs = _query_vectors(emb)
     out = knn_mod.knn_ivf(
         emb, qvecs, k=5, key_col="vec_id", query_ids=qids, n_lists=16, nprobe=16
     )

@@ -17,7 +17,7 @@ import pyarrow as pa
 import ray
 
 from tilecloud_chain_ray.config import Layer
-from tilecloud_chain_ray.util import exchange_aggregate
+from tilecloud_chain_ray.util import exchange_aggregate, process_cached
 
 
 def tile_path(
@@ -63,7 +63,7 @@ def resolve_fs(root: str):
 
 
 class WmtsWriter:
-    """Actor stage: writes stored rows to the WMTS layout, passes rows on
+    """Batch kernel: writes stored rows to the WMTS layout, passes rows on
     (with payload intact so downstream parquet sinks still see it).
 
     ``cache_control`` mirrors the reference S3/Azure stores' per-object
@@ -118,6 +118,18 @@ class WmtsWriter:
                 with self.fs.open_output_stream(path, metadata=metadata) as out:
                     out.write(payload)
         return batch
+
+
+def write_wmts(tiles: ray.data.Dataset, layer: Layer, root: str) -> ray.data.Dataset:
+    """Write the stored rows of ``tiles`` under ``root`` and pass every
+    row on: a task map over one :class:`WmtsWriter` per worker process
+    (it keeps the filesystem and the directories it has made)."""
+    key = ("wmts_writer", layer.name, root)
+
+    def write_fn(batch: pa.Table) -> pa.Table:
+        return process_cached(key, lambda: WmtsWriter(layer, root))(batch)
+
+    return tiles.map_batches(write_fn, batch_format="pyarrow")
 
 
 def write_tiles_parquet(ds: ray.data.Dataset, out_dir: str) -> None:

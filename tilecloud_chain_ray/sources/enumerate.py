@@ -218,14 +218,12 @@ def sparse_coord_dataset(
     layer: Layer,
     cli_bbox: tuple[float, float, float, float] | None = None,
     zooms: Sequence[int] | None = None,
-    concurrency: int | tuple[int, int] = (1, 4),
 ) -> ray.data.Dataset:
     """Sparse enumeration -> Dataset of metatile coordinate rows.
 
     Driver computes only the per-zoom row ranges (cheap bounds math);
     the geometry clipping per row-band runs distributed, one task per
-    source block.  ``concurrency`` caps the concurrent walk tasks (of
-    a ``(min, max)`` pool size, the max).
+    source block.
     """
     zooms = list(zooms) if zooms is not None else layer.seed_zooms()
     geoms = layer.geoms_per_zoom(cli_bbox=cli_bbox)
@@ -273,9 +271,6 @@ def sparse_coord_dataset(
         return process_cached(key, lambda: _BandWalker(layer, geoms))(batch)
 
     intervals = source_blocks(bands, np.ones(len(band_rows), np.int64)).map_batches(
-        walk,
-        batch_format="pyarrow",
-        concurrency=concurrency[1] if isinstance(concurrency, tuple) else concurrency,
-        batch_size=None,
+        walk, batch_format="pyarrow", batch_size=None
     )
     return intervals.map_batches(expand_intervals_batch, batch_format="pyarrow")

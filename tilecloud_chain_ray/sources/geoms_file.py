@@ -11,7 +11,7 @@ table per config::
     srs: string (nullable — reprojected to the grid CRS on load)
 
 Loading is driver-side (geometry tables are small — they are broadcast
-to STRtree actors anyway); the WKB codec is the engine's own
+to the STRtree task stages anyway); the WKB codec is the engine's own
 (``geom/wkb.py``).
 """
 

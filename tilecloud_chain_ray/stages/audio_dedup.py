@@ -81,7 +81,7 @@ def audio_fingerprint64(samples: np.ndarray, rate: int) -> np.uint64:
 
 
 class AudioHasher:
-    """Actor-pool stage: (key, payload WAV bytes) -> (key, audiohash)."""
+    """Batch kernel: (key, payload WAV bytes) -> (key, audiohash)."""
 
     def __init__(self, key_col: str = "media_id", payload_col: str = "payload") -> None:
         self.key_col, self.payload_col = key_col, payload_col
@@ -105,14 +105,11 @@ def audio_hashes(
     key_col: str = "media_id",
     payload_col: str = "payload",
     batch_size: int = 64,
-    concurrency: int | tuple[int, int] = (1, 8),
 ) -> ray.data.Dataset:
+    """Fingerprint every clip: a task map, small batches (decode
+    inflates payloads to PCM)."""
     return media.map_batches(
-        AudioHasher,
-        fn_constructor_kwargs={"key_col": key_col, "payload_col": payload_col},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
+        AudioHasher(key_col, payload_col), batch_format="pyarrow", batch_size=batch_size
     )
 
 
@@ -122,18 +119,11 @@ def audio_near_dup_pairs(
     payload_col: str = "payload",
     max_hamming: int = 3,
     batch_size: int = 64,
-    concurrency: int | tuple[int, int] = (1, 8),
 ) -> ray.data.Dataset:
     """(key_a < key_b, hamming) pairs of perceptually-near-duplicate
-    clips; decode is the actor-pool leg, pairing is the shared blocked
+    clips; decode is the task-map leg, pairing is the shared blocked
     machinery — only (key, hash) shuffles."""
-    hashed = audio_hashes(
-        media,
-        key_col=key_col,
-        payload_col=payload_col,
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+    hashed = audio_hashes(media, key_col=key_col, payload_col=payload_col, batch_size=batch_size)
     return hamming_blocked_pairs(
         hashed,
         key_col=key_col,

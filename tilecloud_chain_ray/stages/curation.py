@@ -16,6 +16,7 @@ corpus-proportional table on the driver.
 
 from __future__ import annotations
 
+import hashlib
 import re
 
 import numpy as np
@@ -132,6 +133,21 @@ def hash_sample(
         return out.filter(pa.array(mask))
 
     return ds.map_batches(keep, batch_format="pyarrow")
+
+
+def text_key(text_col: str, key_col: str):
+    """Batch kernel appending an int64 key derived from the text (62
+    bits of its md5): a sampling key for corpora without one, so equal
+    texts share a key and the sample does not depend on row order."""
+
+    def add_key(batch: pa.Table) -> pa.Table:
+        keys = [
+            int.from_bytes(hashlib.md5((t or "").encode()).digest()[:8], "little") >> 2
+            for t in batch[text_col].to_pylist()
+        ]
+        return batch.append_column(key_col, pa.array(keys, pa.int64()))
+
+    return add_key
 
 
 def hash_sample_rows(

@@ -1,9 +1,9 @@
 """Geometry-filter stage: the coord ⋈ geometry spatial semi-join (M2/J1).
 
-Actor-pool ``map_batches`` stage.  Each actor decodes the broadcast
-per-zoom geometries once in ``__init__``; ``__call__`` computes the
-buffered tile extents for a batch vectorized and keeps rows whose
-extent intersects the zoom geometry (``IntersectGeometryFilter``,
+Task-based ``map_batches`` stage.  Each worker process decodes the
+broadcast per-zoom geometries once in ``__init__``; ``__call__``
+computes the buffered tile extents for a batch vectorized and keeps
+rows whose extent intersects the zoom geometry (``IntersectGeometryFilter``,
 ``/root/reference/tilecloud_chain/__init__.py:2637-2697``, including
 the px-buffer-in-pixels quirk — see ``Grid.extent``).
 """
@@ -63,19 +63,15 @@ def add_geom_filter(
     ds: ray.data.Dataset,
     layer: Layer,
     geoms: Mapping[int, Geometry] | None = None,
-    concurrency: int | tuple[int, int] = (1, 4),
     batch_size: int | None = 8192,
 ) -> ray.data.Dataset:
     """Wire the filter as a task stage with per-process state.
 
     The filter state (decode the one broadcast geometry dict, build the
-    tiny per-zoom structures) is cheap, so tasks + a process-level cache
-    fuse with the upstream expansion and skip actor-pool spin-up
-    (~1 s serial on small jobs); heavy-state joins keep the true actor
-    pool (``stages/pip_join.py``).  ``concurrency`` is kept for
-    signature compatibility (task parallelism is block-driven).
+    tiny per-zoom structures) is built once per worker process, so the
+    stage fuses with the upstream expansion and starts no actor pool
+    (~1 s serial on small jobs); its parallelism is the input's blocks.
     """
-    del concurrency  # task-based: executor schedules by blocks
     geoms_ref = ray.put(geoms if geoms is not None else layer.geoms_per_zoom())
     key = ("coord_geom_filter", layer.name, layer.grid.name, geoms_ref.hex())
 

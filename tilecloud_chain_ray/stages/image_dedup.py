@@ -17,7 +17,7 @@ bucket groupby, never all-pairs).
   sign of the 8x8 low-frequency block (minus DC) vs its median.
   Robust to stronger noise / gamma shifts than dHash.
 
-Decode is the expensive leg, so hashing runs as an actor-pool
+Decode is the expensive leg, so hashing runs as a task-map
 ``map_batches`` stage with SMALL batches (a decoded batch is
 ``batch_size * h * w * c`` bytes — same wide-binary guidance as
 ``stages/multimodal.MediaDecoder``).
@@ -111,7 +111,7 @@ def phash64(arr: np.ndarray) -> np.uint64:
 
 
 class ImageHasher:
-    """Actor-pool stage: (key, payload) -> (key, imghash).
+    """Batch kernel: (key, payload) -> (key, imghash).
 
     ``method``: ``dhash`` | ``phash``.  ``codec``: raw | png | jpeg
     (the from-scratch codecs in ``functions/``)."""
@@ -128,8 +128,6 @@ class ImageHasher:
         self.key_col, self.payload_col = key_col, payload_col
         self.codec = codec
         self.fn = dhash64 if method == "dhash" else phash64
-        if method == "phash":
-            _dct_matrix(32)  # build once per actor
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         keys = batch[self.key_col].to_numpy(zero_copy_only=False)
@@ -151,21 +149,13 @@ def image_hashes(
     codec: str = "png",
     method: str = "dhash",
     batch_size: int = 64,
-    concurrency: int | tuple[int, int] = (1, 8),
 ) -> ray.data.Dataset:
-    """Perceptual-hash every image: actor pool, small batches (decode
+    """Perceptual-hash every image: a task map, small batches (decode
     inflates payloads h*w*c-fold)."""
     return media.map_batches(
-        ImageHasher,
-        fn_constructor_kwargs={
-            "key_col": key_col,
-            "payload_col": payload_col,
-            "codec": codec,
-            "method": method,
-        },
+        ImageHasher(key_col, payload_col, codec, method),
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
     )
 
 
@@ -177,10 +167,9 @@ def image_near_dup_pairs(
     method: str = "dhash",
     max_hamming: int = 3,
     batch_size: int = 64,
-    concurrency: int | tuple[int, int] = (1, 8),
 ) -> ray.data.Dataset:
     """(key_a < key_b, hamming) pairs of perceptually-near-duplicate
-    images.  Hashing is the actor-pool decode stage; pairing is the
+    images.  Hashing is the task-map decode stage; pairing is the
     shared quarter-blocked machinery (bucketed, no all-pairs) — only
     16 B/image of (key, hash) ever shuffles."""
     hashed = image_hashes(
@@ -190,7 +179,6 @@ def image_near_dup_pairs(
         codec=codec,
         method=method,
         batch_size=batch_size,
-        concurrency=concurrency,
     )
     return hamming_blocked_pairs(
         hashed,

@@ -6,11 +6,11 @@ head).  CCNet uses KenLM; no LM library ships in this container, so
 this is a from-scratch byte-trigram model with add-alpha smoothing —
 the same pipeline shape with a smaller model.
 
-Training is one partial-count ``map_batches`` pass + one bounded
-groupby (the key space is at most 256^3 packed trigrams; real text
-uses ~10^4-10^5), collected into a sorted-array model that broadcasts
-once via ``ray.put`` and scores batches with two ``searchsorted``
-lookups per trigram — no Python loop over characters.
+Training counts the trigrams of a bounded hash sample on the driver
+(the key space is at most 256^3 packed trigrams; real text uses
+~10^4-10^5) into a sorted-array model that broadcasts once via
+``ray.put`` and scores batches with two ``searchsorted`` lookups per
+trigram — no Python loop over characters.
 
 Scale notes: the reference slice is SAMPLED (``sample_max_docs``), so
 training cost is fixed regardless of corpus size; the model is a few
@@ -73,6 +73,14 @@ def _lookup(keys: np.ndarray, counts: np.ndarray, probe: np.ndarray) -> np.ndarr
     return out
 
 
+def _trigram_counts(texts: list) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct packed trigrams of ``texts`` and their counts."""
+    tris = [_packed_trigrams(t.encode("utf-8", "ignore")) for t in texts if t]
+    if not tris:
+        return np.empty(0, np.uint32), np.empty(0, np.int64)
+    return np.unique(np.concatenate(tris), return_counts=True)
+
+
 def train_char_lm(
     ds: ray.data.Dataset,
     text_col: str = "text",
@@ -81,48 +89,28 @@ def train_char_lm(
 ) -> CharLM:
     """Train the byte-trigram model on (a sample of) a reference slice.
 
-    One partial-count pass (np.unique per batch) + one groupby over the
-    bounded trigram key space; the model lands on the driver — it is a
-    bounded-size side table, like the decontamination shingle set.
+    The sample is the layout-independent bottom-n-by-hash set
+    (``curation.hash_sample_rows``) keyed on a hash of the text
+    (``curation.text_key``): the same rows in any block order train
+    the same model, and with at most ``sample_max_docs`` rows every row
+    trains it.  The sample is bounded and lands on the driver, where
+    the counts are summed chunk by chunk — the model is a bounded-size
+    side table, like the decontamination shingle set.
     """
-    ref = ds.limit(sample_max_docs)
+    from tilecloud_chain_ray.stages.curation import hash_sample_rows, text_key
 
-    def partial(batch: pa.Table) -> pa.Table:
-        tris = [
-            _packed_trigrams(t.encode("utf-8", "ignore"))
-            for t in batch[text_col].to_pylist()
-            if t
-        ]
-        if not tris:
-            return pa.table(
-                {"tri": pa.array([], pa.int64()), "n": pa.array([], pa.int64())}
-            )
-        uniq, counts = np.unique(np.concatenate(tris), return_counts=True)
-        return pa.table(
-            {
-                "tri": pa.array(uniq.astype(np.int64), pa.int64()),
-                "n": pa.array(counts.astype(np.int64), pa.int64()),
-            }
-        )
-
-    from tilecloud_chain_ray.util import exchange_aggregate
-
-    agg = exchange_aggregate(
-        ref.map_batches(partial, batch_format="pyarrow"),
-        ["tri"],
-        [("n", "sum")],
-        ["tri", "n"],
-    )
-    parts = [t for t in ray.get(agg.to_arrow_refs()) if t.num_rows]
-    tbl = (
-        pa.concat_tables(parts)
-        if parts
-        else pa.table({"tri": pa.array([], pa.int64()), "n": pa.array([], pa.int64())})
-    )
-    tri_keys = tbl["tri"].to_numpy(zero_copy_only=False).astype(np.uint32)
-    tri_counts = tbl["n"].to_numpy(zero_copy_only=False).astype(np.int64)
-    order = np.argsort(tri_keys)
-    tri_keys, tri_counts = tri_keys[order], tri_counts[order]
+    # materialized once: the sample's count and filtered scans read the
+    # object store instead of re-running the upstream
+    keyed = ds.map_batches(text_key(text_col, "__text_key"), batch_format="pyarrow").materialize()
+    sample = hash_sample_rows(keyed, sample_max_docs, "__text_key", cols=[text_col])
+    counted = [
+        _trigram_counts(b.column(text_col).to_pylist())
+        for b in sample.to_batches(max_chunksize=1024)
+    ]
+    keys = np.concatenate([np.empty(0, np.uint32)] + [k for k, _ in counted])
+    tri_keys, where = np.unique(keys, return_inverse=True)
+    tri_counts = np.zeros(len(tri_keys), np.int64)
+    np.add.at(tri_counts, where, np.concatenate([np.empty(0, np.int64)] + [n for _, n in counted]))
     # bigram totals roll up from the trigram table (prefix of the key)
     bi_all = tri_keys >> np.uint32(8)
     starts = np.flatnonzero(np.r_[True, bi_all[1:] != bi_all[:-1]])

@@ -169,10 +169,11 @@ def _decode_image(payload: bytes, codec: str) -> np.ndarray:
 
 
 class MediaDecoder:
-    """Actor-pool decode stage.  State (codec tables / model weights in a
-    real deployment) loads once per actor; batches stay SMALL because a
-    decoded batch is ~batch_size * h * w * c bytes — callers pass
-    ``batch_size`` explicitly (wide-binary guidance in the ray guide).
+    """Decode kernel, run as a task map (:func:`decode_media`).  The
+    constructor validates the codec on the driver; batches stay SMALL
+    because a decoded batch is ~batch_size * h * w * c bytes — callers
+    pass ``batch_size`` explicitly (wide-binary guidance in the ray
+    guide).
     """
 
     def __init__(self, codec: str = "raw", to_pcm: bool = False, to_pixels: bool = False) -> None:
@@ -335,7 +336,7 @@ class FrameSampler:
     ``container='mp4'`` / ``'mp3'`` demux REAL encoded frames: each
     output row carries the frame's actual index, its stream timestamp,
     and the encoded frame bytes sliced from the container
-    (``frame_payload``) — ready for a downstream codec-decode actor.
+    (``frame_payload``) — ready for a downstream codec-decode stage.
     ``container=None`` keeps the synthetic mode (timestamps spread over
     ``meta_duration_ms``, no payload slicing) for raw plumbing tests."""
 
@@ -373,12 +374,5 @@ def decode_media(
     ds: ray.data.Dataset,
     codec: str = "raw",
     batch_size: int = 64,
-    concurrency: int | tuple[int, int] = (1, 4),
 ) -> ray.data.Dataset:
-    return ds.map_batches(
-        MediaDecoder,
-        fn_constructor_kwargs={"codec": codec},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+    return ds.map_batches(MediaDecoder(codec), batch_format="pyarrow", batch_size=batch_size)

@@ -1,10 +1,10 @@
 """Point-in-polygon join (J3): geocoded rows ⋈ layer polygons.
 
-The north rule's STRtree-actor-pool join: each actor builds, once, an
-STR bbox tree over all layer leaf polygons (broadcast via ``ray.put``);
-per batch, points are bucketed into coarse cells, the tree is queried
-once per occupied bucket, and the exact PIP test runs vectorized per
-candidate polygon over that bucket's points.
+A task stage with per-process state: each worker process builds, once,
+an STR bbox tree over all layer leaf polygons (broadcast via one
+``ray.put``); per batch, points are bucketed into coarse cells, the
+tree is queried once per occupied bucket, and the exact PIP test runs
+vectorized per candidate polygon over that bucket's points.
 
 Modes (reference J1 is ``semi``): ``semi`` keep matching rows, ``left``
 tag with first-match layer name (null if none), ``inner`` one output
@@ -31,7 +31,6 @@ class PIPJoin:
         x_col: str = "x",
         y_col: str = "y",
         out_col: str = "layer",
-        bucket_bits: int | None = None,
     ) -> None:
         layers: list[tuple[str, Geometry]] = (
             ray.get(layers_ref) if isinstance(layers_ref, ray.ObjectRef) else layers_ref
@@ -59,11 +58,9 @@ class PIPJoin:
             )
         else:
             self.extent = (0.0, 0.0, 1.0, 1.0)
-        if bucket_bits is None:
-            # ~1 polygon per bucket row: fine grids only pay off when the
-            # polygon set is large (few polygons -> few bucket iterations)
-            bucket_bits = max(0, min(8, int(np.ceil(np.log2(max(len(self.polys), 1)) / 2))))
-        self.bucket_bits = bucket_bits
+        # ~1 polygon per bucket row: fine grids only pay off when the
+        # polygon set is large (few polygons -> few bucket iterations)
+        self.bucket_bits = max(0, min(8, int(np.ceil(np.log2(max(len(self.polys), 1)) / 2))))
 
     def _buckets(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         n = 1 << self.bucket_bits
@@ -132,48 +129,17 @@ def pip_join(
     ds: ray.data.Dataset,
     layers: list[tuple[str, Geometry]],
     mode: str = "left",
-    concurrency: int | tuple[int, int] = (1, 4),
-    batch_size: int = 16384,
-    x_col: str = "x",
-    y_col: str = "y",
-    out_col: str = "layer",
-    bucket_bits: int | None = None,
-) -> ray.data.Dataset:
-    layers_ref = ray.put(layers)
-    return ds.map_batches(
-        PIPJoin,
-        fn_constructor_kwargs=dict(
-            layers_ref=layers_ref,
-            mode=mode,
-            x_col=x_col,
-            y_col=y_col,
-            out_col=out_col,
-            bucket_bits=bucket_bits,
-        ),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
-
-
-def pip_join_tasks(
-    ds: ray.data.Dataset,
-    layers: list[tuple[str, Geometry]],
-    mode: str = "left",
     batch_size: int = 16384,
     cache_key: str | None = None,
     x_col: str = "x",
     y_col: str = "y",
     out_col: str = "layer",
-    bucket_bits: int | None = None,
 ) -> ray.data.Dataset:
-    """Task-based PIP join for small/medium layer sets: the STRtree is
-    built once per worker process (``process_cached``) from a single
-    broadcast ``ray.put``, and Ray schedules the stage as ordinary
-    fused tasks on warm workers — no actor-pool spin-up (which costs
-    ~1-2 s flat and dominates small jobs).  Use :func:`pip_join`
-    (actor pool) when the broadcast geometry payload is heavy enough
-    that per-process rebuilds would hurt (many MB of polygons)."""
+    """PIP join as a plain task map: the STRtree is built once per
+    worker process (``process_cached``) from a single broadcast
+    ``ray.put``, and Ray schedules the stage as ordinary fused tasks on
+    warm workers, with no actor-pool start-up (~1-2 s flat, which
+    dominates small jobs)."""
     from tilecloud_chain_ray.util import process_cached
 
     layers_ref = ray.put(layers)
@@ -182,8 +148,8 @@ def pip_join_tasks(
     # could serve a stale tree built from a different layer set); an
     # explicit cache_key opts into cross-call sharing
     ident = cache_key if cache_key is not None else layers_ref.hex()
-    kw = dict(mode=mode, x_col=x_col, y_col=y_col, out_col=out_col, bucket_bits=bucket_bits)
-    key = ("pip_join_tasks", ident, tuple(kw.items()))
+    kw = dict(mode=mode, x_col=x_col, y_col=y_col, out_col=out_col)
+    key = ("pip_join", ident, tuple(kw.items()))
 
     def fn(batch: pa.Table) -> pa.Table:
         st = process_cached(key, lambda: PIPJoin(layers_ref, **kw))

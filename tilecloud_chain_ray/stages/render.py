@@ -9,9 +9,9 @@ server, so the engine renders deterministically itself:
   single pixels, lines sampled, polygons PIP-filled over pixel
   centers).  Gives renderer-independent parity with the reference's
   structural goldens: a child tile is non-empty iff geometry touches it.
-  It is an actor class for ``map_batches`` (state: decoded geometries
-  and their STRtree, built once per actor); ``content_type`` =
-  image/png.
+  It is a batch kernel for ``map_batches`` (state: decoded geometries
+  and their STRtree, built once per worker process through
+  ``util.process_cached``); ``content_type`` = image/png.
 * ``render_density_image`` — shades one tile's per-pixel page counts;
   ``pipelines.density`` calls it once per tile.
 
@@ -223,7 +223,7 @@ class GeometryRenderer:
         # per-resolution bounds only steer seeding geometry)
         self.geoms = [getattr(g, "geometry", g) for g in raw]
         self.color = layer_color(layer.name)
-        # per-actor STRtree over leaf bounds: each render touches only
+        # per-process STRtree over leaf bounds: each render touches only
         # the leaves intersecting its extent, not every source geometry
         self.leaves = list(iter_leaves_all(self.geoms))
         self.tree = STRtree(

@@ -6,11 +6,12 @@ import functools
 import os
 from typing import Any, Callable
 
-# Per-worker-process object cache: lets a *task-based* map_batches stage
-# amortize cheap construction (compiled hashers, color tables) the way an
-# actor's __init__ would, while keeping Ray free to schedule the stage as
-# ordinary fused tasks on warm workers.  Use actors instead when the
-# state is genuinely heavy (broadcast geometry, models, indexes).
+# Per-worker-process object cache: the engine's one way to hold
+# per-worker state.  A task-based map_batches stage builds its state
+# (decoded broadcast geometry, STRtrees, open filesystems) once per
+# process the way an actor's __init__ would, while Ray stays free to
+# schedule the stage as ordinary fused tasks on warm workers.  A stage
+# whose state is a few arguments passes Ray a callable instance instead.
 _PROCESS_CACHE: dict[Any, Any] = {}
 _PROCESS_CACHE_MAX = 64  # bounded: per-run keys (ObjectRef-derived) would
 # otherwise accumulate one state object per historical job in every
