@@ -90,10 +90,12 @@ def test_dense_dataset_247_no_meta():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_sparse_walk_is_a_task_map(actor_pools):
+@pytest.mark.parametrize("concurrency", [2, (1, 4)])
+def test_sparse_walk_is_a_task_map(actor_pools, concurrency):
     """The band walk is a plain task map (no actor pool, whose object-store
-    constructor arguments break its restart) and gives exactly the
-    coords of walking every band row of every zoom on the driver."""
+    constructor arguments break its restart), refuses the pool-size knob
+    in both of its former forms, and gives exactly the coords of walking
+    every band row of every zoom on the driver."""
     import pyarrow as pa
 
     from tilecloud_chain_ray.coords import sparse_row_intervals
@@ -107,6 +109,8 @@ def test_sparse_walk_is_a_task_map(actor_pools):
         ),
         min_resolution_seed=12,
     )
+    with pytest.raises(TypeError, match="concurrency"):
+        sparse_coord_dataset(layer, concurrency=concurrency)
     ds = sparse_coord_dataset(layer)
     assert actor_pools(ds) == []
 
