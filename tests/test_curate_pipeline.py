@@ -428,3 +428,29 @@ def test_exact_dedup_exchange_carries_no_bucket_tag(monkeypatch, on_cluster, clu
     assert len(seen) == 1 and "content_md5" in seen[0] and "_bucket" not in seen[0]
     want = docs.to_pandas().groupby("text")["doc_id"].min()
     assert sorted(surv["doc_id"]) == sorted(want)
+
+
+def test_trainers_and_lm_cut_on_empty_input():
+    """The sample trainers accept a 0-row input: ``train_char_lm`` and
+    ``train_bpe`` return an empty model, and a curation run whose quality
+    floor drops every row trains its perplexity cut on the empty stream
+    and keeps 0 survivors."""
+    import pyarrow as pa
+
+    from tilecloud_chain_ray.stages.bpe import train_bpe
+    from tilecloud_chain_ray.stages.lm import train_char_lm
+
+    typed = ray.data.from_arrow(
+        pa.table({"doc_id": pa.array([1], pa.int64()), "text": pa.array(["ab"], pa.string())})
+    )
+    # 0-row blocks, and no block at all
+    for empty in (typed.filter(lambda r: False), typed.limit(0)):
+        model = train_char_lm(empty)
+        assert len(model.tri_keys) == len(model.bi_keys) == 0
+        assert train_bpe(empty, num_merges=8).merges == ()
+
+    docs = ray.data.read_parquet(
+        os.path.join(SF_DIR, "documents.parquet"), columns=["doc_id", "lang", "text"]
+    )
+    result = curate_corpus(docs, quality_min=1.1, lm_max_ppl=100.0)
+    assert result.survivors.count() == 0

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pytest
 import ray
 
 from tilecloud_chain_ray.util import exchange_aggregate, hash_group_blocks
@@ -230,3 +231,35 @@ def test_exchange_recovers_from_a_lost_worker(ray_session, at_width, tmp_path):
     assert os.path.exists(marker)
     key = lambda df: df.sort_values("g").reset_index(drop=True)  # noqa: E731
     pd.testing.assert_frame_equal(key(got), key(want))
+
+
+def test_exchange_aggregate_combines_each_block(ray_session, monkeypatch):
+    """The exchange moves per-block partials, not raw rows: 7 blocks of
+    a 13 x 5-key table ship at most 7 x 65 rows, and the counts and sums
+    come out the same as pandas over the raw rows."""
+    from tilecloud_chain_ray import util
+
+    shipped = []
+    real = util.exchange_refs
+
+    def counting(refs, *args, **kwargs):
+        shipped.append(sum(ray.get(r).num_rows for r in refs))
+        return real(refs, *args, **kwargs)
+
+    monkeypatch.setattr(util, "exchange_refs", counting)
+    t = _table(n=7000)
+    ds = ray.data.from_arrow(t).repartition(7)
+    got = exchange_aggregate(
+        ds, ["g", "s"], [([], "count_all"), ("v", "sum")], ["g", "s", "n", "v_sum"]
+    ).to_pandas()
+    assert shipped and shipped[0] <= 7 * 13 * 5
+    exp = t.to_pandas().groupby(["g", "s"], as_index=False).agg(n=("v", "size"), v_sum=("v", "sum"))
+    pd.testing.assert_frame_equal(
+        got.sort_values(["g", "s"]).reset_index(drop=True), exp, check_dtype=False
+    )
+
+
+def test_exchange_aggregate_refuses_an_agg_it_cannot_combine(ray_session):
+    ds = ray.data.from_arrow(_table(n=10))
+    with pytest.raises(ValueError, match="mean"):
+        exchange_aggregate(ds, ["g"], [("v", "mean")], ["g", "v_mean"])

@@ -56,6 +56,21 @@ def to_pandas(result) -> pd.DataFrame:
 SQL_KEYS = sorted(entrymod.oracle_sql().keys())
 
 
+@pytest.fixture(scope="module", autouse=True)
+def no_sort_groupby():
+    """Every query of this module runs with Ray's sort-based
+    ``Dataset.groupby`` refused: grouped work goes through
+    ``util.exchange_aggregate`` / ``util.hash_group_blocks`` only."""
+    import ray
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("Dataset.groupby called: group through util.exchange_aggregate")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ray.data.Dataset, "groupby", refuse)
+        yield
+
+
 @pytest.mark.usefixtures("ray_session")
 @pytest.mark.parametrize("name", SQL_KEYS)
 def test_query_matches_oracle(name):
@@ -111,3 +126,24 @@ def test_entry_smoke():
     df = to_pandas(result)
     assert len(df) >= 0
     assert set(df.columns) == {"z", "x", "y", "status", "size"}
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_orders_topk_on_empty_orders(tmp_path):
+    """A 0-row ``orders`` table reaches the exchange as blocks with no
+    columns; the top-5 kernel's probe still answers the query's typed
+    columns (read from the output blocks: ``Dataset.to_pandas`` of 0
+    rows drops them)."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray
+
+    from tilecloud_chain_ray import queries as q
+
+    orders = pq.read_table(os.path.join(SF_DIR, "orders.parquet"))
+    pq.write_table(orders.slice(0, 0), tmp_path / "orders.parquet")
+    out = pa.concat_tables(ray.get(q.q_orders_topk(str(tmp_path)).to_arrow_refs()))
+    assert out.num_rows == 0
+    assert out.schema == pa.schema(
+        [("o_orderpriority", pa.string()), ("o_orderkey", pa.int64()), ("rnk", pa.int64())]
+    )

@@ -22,13 +22,13 @@ import ray
 
 from tilecloud_chain_ray.config import Layer
 from tilecloud_chain_ray.functions.cells import cell_decode
-from tilecloud_chain_ray.sinks.wmts import WmtsWriter, summarize
+from tilecloud_chain_ray.sinks.wmts import summarize, write_tiles_parquet, write_wmts
 from tilecloud_chain_ray.stages.hashdrop import (
     empty_signatures,
     finalize_tiles,
     make_hash_dropper,
 )
-from tilecloud_chain_ray.util import hash_group_blocks, process_cached, read_parquet_clean
+from tilecloud_chain_ray.util import hash_group_blocks
 
 PARTIALS_BATCH_SIZE = 65536  # geocoded rows per pixel_partials call
 
@@ -196,14 +196,7 @@ def density_tiles(
     )
     tiles = tiles.map_batches(finalize_tiles, batch_format="pyarrow")
     if out_wmts is not None:
-
-        def write_fn(batch: pa.Table) -> pa.Table:
-            writer = process_cached(
-                ("wmts_writer", layer.name, out_wmts), lambda: WmtsWriter(layer, out_wmts)
-            )
-            return writer(batch)
-
-        tiles = tiles.map_batches(write_fn, batch_format="pyarrow")
+        tiles = write_wmts(tiles, layer, out_wmts)
     return tiles
 
 
@@ -240,7 +233,6 @@ def density_pyramid(
     )
     tiles = density_tiles(partials, layer, out_wmts=out_wmts)
     if out_parquet is not None:
-        tiles.write_parquet(out_parquet, partition_cols=["z"])
-        tiles = read_parquet_clean(out_parquet)
+        tiles = write_tiles_parquet(tiles, out_parquet)
     summary = summarize(tiles, layer.meta_size, meta=False) if with_summary else {}
     return GenerateResult(tiles=tiles, summary=summary)

@@ -26,7 +26,7 @@ import pyarrow as pa
 import ray
 
 from tilecloud_chain_ray.config import Layer
-from tilecloud_chain_ray.sinks.wmts import summarize, write_wmts
+from tilecloud_chain_ray.sinks.wmts import summarize, write_tiles_parquet, write_wmts
 from tilecloud_chain_ray.sources.enumerate import dense_coord_dataset, sparse_coord_dataset
 from tilecloud_chain_ray.stages.geom_filter import add_geom_filter
 from tilecloud_chain_ray.stages.hashdrop import (
@@ -36,7 +36,6 @@ from tilecloud_chain_ray.stages.hashdrop import (
 )
 from tilecloud_chain_ray.stages.render import GeometryRenderer
 from tilecloud_chain_ray.stages.split import MetatileSplitter
-from tilecloud_chain_ray.util import read_parquet_clean
 
 
 def add_dimensions(ds: ray.data.Dataset, layer: Layer) -> ray.data.Dataset:
@@ -249,9 +248,7 @@ def generate_tiles(
     if out_wmts is not None:
         tiles = write_wmts(tiles, layer, out_wmts)
     if out_parquet is not None:
-        # consume: write the tile table (drops nothing; statuses kept for lineage)
-        tiles.write_parquet(out_parquet, partition_cols=["z"])
-        tiles = read_parquet_clean(out_parquet)
+        tiles = write_tiles_parquet(tiles, out_parquet)
 
     summary = (
         summarize(tiles, layer.meta_size, layer.meta) if with_summary else {}

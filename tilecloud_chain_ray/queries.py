@@ -13,6 +13,7 @@ Constants and arithmetic are chosen so the matching DuckDB oracle SQL
 
 from __future__ import annotations
 
+import collections
 import os
 
 import numpy as np
@@ -20,7 +21,6 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
-from ray.data.aggregate import Count, Max, Min, Sum
 
 from tilecloud_chain_ray.functions.hashing import micro_from_ids, micro_tile
 from tilecloud_chain_ray.geom import box
@@ -34,7 +34,8 @@ from tilecloud_chain_ray.stages.text import (
     quality_score_batch,
     token_count_batch,
 )
-from tilecloud_chain_ray.util import read_parquet_clean
+from tilecloud_chain_ray.util import exchange_aggregate, hash_group_blocks, read_parquet_clean
+
 BBOX = SWISSGRID_5.bbox  # (420000, 30000, 900000, 350000)
 MID_X = 660000.0  # = bbox x at ux = 2^31 (exact)
 NORTH_Y = 190000.0  # = bbox y at uy = 2^31 (exact)
@@ -105,44 +106,13 @@ def q_tile_counts_per_zoom(sf_dir: str) -> pa.Table:
         )
 
     assigned = docs.map_batches(assign_all, batch_format="pyarrow")
-
-    def per_zoom_partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        g = df.groupby(["z", "tx", "ty"]).size().reset_index(name="n")
-        return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata(None)
-
-    from tilecloud_chain_ray.util import hash_group_blocks
-
-    def sum_tiles(batch: pa.Table) -> pa.Table:
-        t = batch.group_by(["z", "tx", "ty"]).aggregate([("n", "sum")])
-        return t.rename_columns(["z", "tx", "ty", "n"])
-
-    tile_counts = hash_group_blocks(
-        assigned.map_batches(per_zoom_partial, batch_format="pyarrow"),
-        ["z", "tx", "ty"],
-        sum_tiles,
+    tile_counts = exchange_aggregate(
+        assigned, ["z", "tx", "ty"], [([], "count_all")], ["z", "tx", "ty", "n"]
     )
-
     # second aggregation stays a pure vectorized aggregate: a z-14 zoom
-    # has ~10^8 distinct tiles — never materialize one zoom as a group.
-    # Combiner per block, then a 15-key exchange.
-    def zoom_partial(batch: pa.Table) -> pa.Table:
-        t = pa.table(
-            {
-                "z": batch["z"],
-                "one": pa.array(np.ones(batch.num_rows, dtype=np.int64), pa.int64()),
-                "docs": batch["n"],
-            }
-        )
-        g = t.group_by(["z"]).aggregate([("one", "sum"), ("docs", "sum")])
-        return g.rename_columns(["z", "n_tiles", "n_docs"])
-
-    def sum_zoom(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(["z"]).aggregate([("n_tiles", "sum"), ("n_docs", "sum")])
-        return g.rename_columns(["z", "n_tiles", "n_docs"])
-
-    return hash_group_blocks(
-        tile_counts.map_batches(zoom_partial, batch_format="pyarrow"), ["z"], sum_zoom
+    # has ~10^8 distinct tiles — never materialize one zoom as a group
+    return exchange_aggregate(
+        tile_counts, ["z"], [([], "count_all"), ("n", "sum")], ["z", "n_tiles", "n_docs"]
     )
 
 
@@ -188,15 +158,13 @@ def q_cell_counts_r8(sf_dir: str) -> ray.data.Dataset:
         ux, uy = micro_from_ids(ids)
         cx = (ux >> np.uint64(24)).astype(np.int64)
         cy = (uy >> np.uint64(24)).astype(np.int64)
-        df = pd.DataFrame({"cell_x": cx, "cell_y": cy})
-        g = df.groupby(["cell_x", "cell_y"]).size().reset_index(name="n")
-        return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata(None)
+        return pa.table({"cell_x": cx, "cell_y": cy})
 
-    from tilecloud_chain_ray.util import exchange_aggregate
-
-    partials = docs.map_batches(cells, batch_format="pyarrow")
     return exchange_aggregate(
-        partials, ["cell_x", "cell_y"], [("n", "sum")], ["cell_x", "cell_y", "n"]
+        docs.map_batches(cells, batch_format="pyarrow"),
+        ["cell_x", "cell_y"],
+        [([], "count_all")],
+        ["cell_x", "cell_y", "n"],
     )
 
 
@@ -213,7 +181,9 @@ def _geocoded_docs(sf_dir: str) -> ray.data.Dataset:
 
 def q_pip_layer_counts(sf_dir: str) -> ray.data.Dataset:
     joined = pip_join(_geocoded_docs(sf_dir), PIP_LAYERS, mode="left", cache_key="pip3")
-    return joined.groupby("layer").aggregate(Count(alias_name="n"))
+    return exchange_aggregate(
+        joined.select_columns(["layer"]), ["layer"], [([], "count_all")], ["layer", "n"]
+    )
 
 
 def q_pip_join_rows(sf_dir: str) -> ray.data.Dataset:
@@ -276,8 +246,11 @@ def q_dedup_exact(sf_dir: str) -> ray.data.Dataset:
 
 def q_lang_stats(sf_dir: str) -> ray.data.Dataset:
     docs = _read(sf_dir, "documents", ["lang", "n_chars"])
-    return docs.groupby("lang").aggregate(
-        Count(alias_name="n_docs"), Sum("n_chars", alias_name="sum_chars")
+    return exchange_aggregate(
+        docs,
+        ["lang"],
+        [([], "count_all"), ("n_chars", "sum")],
+        ["lang", "n_docs", "sum_chars"],
     )
 
 
@@ -286,7 +259,7 @@ def q_lang_pred_counts(sf_dir: str) -> ray.data.Dataset:
     pred = docs.map_batches(
         lambda b: lang_id_batch(b).select(["lang_pred"]), batch_format="pyarrow"
     )
-    return pred.groupby("lang_pred").aggregate(Count(alias_name="n"))
+    return exchange_aggregate(pred, ["lang_pred"], [([], "count_all")], ["lang_pred", "n"])
 
 
 def q_token_stats(sf_dir: str) -> ray.data.Dataset:
@@ -302,9 +275,11 @@ def q_token_stats(sf_dir: str) -> ray.data.Dataset:
         ),
         batch_format="pyarrow",
     )
-    return counted.groupby("lang").aggregate(
-        Sum("n_tokens", alias_name="sum_tokens"),
-        Sum("n_bpe_tokens", alias_name="sum_bpe_tokens"),
+    return exchange_aggregate(
+        counted,
+        ["lang"],
+        [("n_tokens", "sum"), ("n_bpe_tokens", "sum")],
+        ["lang", "sum_tokens", "sum_bpe_tokens"],
     )
 
 
@@ -312,25 +287,14 @@ def q_quality_hist(sf_dir: str) -> ray.data.Dataset:
     docs = _read(sf_dir, "documents", ["text"])
 
     def bucketize(batch: pa.Table) -> pa.Table:
-        # per-block combiner: ship (bucket, partial count), not one row
-        # per doc, into the (<=11)-key exchange
-        scored = quality_score_batch(batch)
-        q = scored["quality"].to_numpy(zero_copy_only=False)
-        bucket = np.floor(q * 10.0).astype(np.int64)
-        u, c = np.unique(bucket, return_counts=True)
-        return pa.Table.from_pydict(
-            {"bucket": pa.array(u, pa.int64()), "n": pa.array(c, pa.int64())}
-        )
+        q = quality_score_batch(batch)["quality"].to_numpy(zero_copy_only=False)
+        return pa.table({"bucket": np.floor(q * 10.0).astype(np.int64)})
 
-    from tilecloud_chain_ray.util import hash_group_blocks
-
-    def sum_buckets(batch: pa.Table) -> pa.Table:
-        return batch.group_by(["bucket"]).aggregate([("n", "sum")]).rename_columns(
-            ["bucket", "n"]
-        )
-
-    return hash_group_blocks(
-        docs.map_batches(bucketize, batch_format="pyarrow"), ["bucket"], sum_buckets
+    return exchange_aggregate(
+        docs.map_batches(bucketize, batch_format="pyarrow"),
+        ["bucket"],
+        [([], "count_all")],
+        ["bucket", "n"],
     )
 
 
@@ -348,14 +312,11 @@ def q_events_tumbling(sf_dir: str) -> ray.data.Dataset:
         out = batch.select(["event_type", "value"])
         return out.append_column("window", pa.array(win, pa.int64()))
 
-    return (
-        events.map_batches(windowed, batch_format="pyarrow")
-        .groupby(["event_type", "window"])
-        .aggregate(
-            Count(alias_name="n"),
-            Min("value", alias_name="vmin"),
-            Max("value", alias_name="vmax"),
-        )
+    return exchange_aggregate(
+        events.map_batches(windowed, batch_format="pyarrow"),
+        ["event_type", "window"],
+        [([], "count_all"), ("value", "min"), ("value", "max")],
+        ["event_type", "window", "n", "vmin", "vmax"],
     )
 
 
@@ -421,10 +382,11 @@ def q_quality_filter_counts(sf_dir: str) -> ray.data.Dataset:
         q = scored["quality"].to_numpy(zero_copy_only=False)
         return batch.select(["lang"]).filter(pa.array(q >= 0.5))
 
-    return (
-        docs.map_batches(passing, batch_format="pyarrow")
-        .groupby("lang")
-        .aggregate(Count(alias_name="n_passing"))
+    return exchange_aggregate(
+        docs.map_batches(passing, batch_format="pyarrow"),
+        ["lang"],
+        [([], "count_all")],
+        ["lang", "n_passing"],
     )
 
 
@@ -444,7 +406,12 @@ def q_events_range_join(sf_dir: str) -> ray.data.Dataset:
         value_col="ts_us",
         out_col="week",
     )
-    return tagged.groupby(["week", "event_type"]).aggregate(Count(alias_name="n"))
+    return exchange_aggregate(
+        tagged.select_columns(["week", "event_type"]),
+        ["week", "event_type"],
+        [([], "count_all")],
+        ["week", "event_type", "n"],
+    )
 
 
 def q_events_sliding(sf_dir: str) -> ray.data.Dataset:
@@ -464,42 +431,58 @@ def q_events_sliding(sf_dir: str) -> ray.data.Dataset:
             {"event_type": out_types, "window_start": pa.array(win, pa.int64())}
         )
 
-    return (
-        events.map_batches(windowed, batch_format="pyarrow")
-        .groupby(["event_type", "window_start"])
-        .aggregate(Count(alias_name="n"))
+    return exchange_aggregate(
+        events.map_batches(windowed, batch_format="pyarrow"),
+        ["event_type", "window_start"],
+        [([], "count_all")],
+        ["event_type", "window_start", "n"],
     )
 
 
 def q_lineitem_pricing(sf_dir: str) -> ray.data.Dataset:
     li = _read(sf_dir, "lineitem", ["l_returnflag", "l_linestatus", "l_quantity"])
-    return li.groupby(["l_returnflag", "l_linestatus"]).aggregate(
-        Count(alias_name="n"), Sum("l_quantity", alias_name="sum_qty")
+    return exchange_aggregate(
+        li,
+        ["l_returnflag", "l_linestatus"],
+        [([], "count_all"), ("l_quantity", "sum")],
+        ["l_returnflag", "l_linestatus", "n", "sum_qty"],
     )
 
 
 def q_orders_topk(sf_dir: str) -> ray.data.Dataset:
-    orders = _read(sf_dir, "orders", ["o_orderpriority", "o_orderkey", "o_totalprice"])
+    cols = pa.schema(
+        [
+            ("o_orderpriority", pa.string()),
+            ("o_orderkey", pa.int64()),
+            ("o_totalprice", pa.float64()),
+        ]
+    )
+    orders = _read(sf_dir, "orders", cols.names)
 
-    def partial_topk(batch: pa.Table) -> pa.Table:
-        # per-batch combiner: each group seen by the shuffle holds at
-        # most 5 rows per input block, not the whole priority class
-        df = batch.to_pandas()
-        g = (
-            df.sort_values(["o_totalprice", "o_orderkey"], ascending=[False, True])
-            .groupby("o_orderpriority", as_index=False)
-            .head(5)
+    def top5(batch: pa.Table) -> pa.Table:
+        # the 5 dearest orders of each priority (ties to the lower key),
+        # ranked: the top 5 of per-block top 5s is the global top 5, so
+        # this is both the per-block combiner and the exchange kernel
+        if not set(cols.names) <= set(batch.column_names):
+            batch = cols.empty_table()  # the exchange's probe of an input with no block
+        t = batch.select(cols.names).sort_by(
+            [
+                ("o_orderpriority", "ascending"),
+                ("o_totalprice", "descending"),
+                ("o_orderkey", "ascending"),
+            ]
         )
-        return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata(None)
+        pri = t["o_orderpriority"].to_numpy(zero_copy_only=False)
+        pos = np.arange(len(pri))
+        first = np.ones(len(pri), dtype=bool)
+        first[1:] = pri[1:] != pri[:-1]
+        rnk = pos - np.maximum.accumulate(np.where(first, pos, 0)) + 1
+        keep = rnk <= 5
+        return t.filter(keep).append_column("rnk", pa.array(rnk[keep], pa.int64()))
 
-    def topk(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["o_totalprice", "o_orderkey"], ascending=[False, True]).head(5)
-        g = g.reset_index(drop=True)
-        g["rnk"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g[["o_orderpriority", "o_orderkey", "rnk"]]
-
-    partials = orders.map_batches(partial_topk, batch_format="pyarrow")
-    return partials.groupby("o_orderpriority").map_groups(topk, batch_format="pandas")
+    partials = orders.map_batches(top5, batch_format="pyarrow")
+    out = ["o_orderpriority", "o_orderkey", "rnk"]
+    return hash_group_blocks(partials, ["o_orderpriority"], lambda t: top5(t).select(out))
 
 
 def q_orders_lineitem_join(sf_dir: str) -> ray.data.Dataset:
@@ -515,8 +498,11 @@ def q_orders_lineitem_join(sf_dir: str) -> ray.data.Dataset:
         lambda b: b.rename_columns(["okey", "l_quantity"]), batch_format="pyarrow"
     )
     joined = hash_join(orders, lineitem, on="okey", how="inner")
-    return joined.groupby("o_orderpriority").aggregate(
-        Count(alias_name="n_lines"), Sum("l_quantity", alias_name="sum_qty")
+    return exchange_aggregate(
+        joined.select_columns(["o_orderpriority", "l_quantity"]),
+        ["o_orderpriority"],
+        [([], "count_all"), ("l_quantity", "sum")],
+        ["o_orderpriority", "n_lines", "sum_qty"],
     )
 
 
@@ -536,10 +522,11 @@ def q_region_customers(sf_dir: str) -> ray.data.Dataset:
         return pa.Table.from_pydict({"r_name": pa.array(names, pa.string())})
 
     customers = _read(sf_dir, "customer", ["c_nationkey"])
-    return (
-        customers.map_batches(tag, batch_format="pyarrow")
-        .groupby("r_name")
-        .aggregate(Count(alias_name="n_customers"))
+    return exchange_aggregate(
+        customers.map_batches(tag, batch_format="pyarrow"),
+        ["r_name"],
+        [([], "count_all")],
+        ["r_name", "n_customers"],
     )
 
 
@@ -567,19 +554,14 @@ def q_anti_join_tiles(sf_dir: str) -> ray.data.Dataset:
 
 def q_dimension_cross(sf_dir: str) -> ray.data.Dataset:
     """Dimension cross-product (M1): every doc's z2 tile x DATE values."""
-    w, h = ZOOM_DIMS[2]
-    dates = ("2005", "2010", "2012")
+    dates = pa.array(["2005", "2010", "2012"], pa.string())
 
     def cross(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        ux, uy = micro_from_ids(ids)
-        tx, ty = micro_tile(ux, uy, w, h)
-        df = pd.DataFrame({"tx": np.repeat(tx, 3), "ty": np.repeat(ty, 3), "date": list(dates) * len(ids)})
-        g = df.groupby("date").size().reset_index(name="n")
-        return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata(None)
+        # each doc's tile crosses every date once: n docs per date
+        return pa.table({"date": dates, "n": pa.array([batch.num_rows] * 3, pa.int64())})
 
     partials = _read(sf_dir, "documents", ["doc_id"]).map_batches(cross, batch_format="pyarrow")
-    return partials.groupby("date").aggregate(Sum("n", alias_name="n"))
+    return exchange_aggregate(partials, ["date"], [("n", "sum")], ["date", "n"])
 
 
 def q_tile_union_area_z2(sf_dir: str) -> pa.Table:
@@ -596,13 +578,10 @@ def q_tile_union_area_z2(sf_dir: str) -> pa.Table:
         ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         ux, uy = micro_from_ids(ids)
         tx, ty = micro_tile(ux, uy, w, h)
-        df = pd.DataFrame({"tx": tx, "ty": ty}).drop_duplicates()
-        return pa.Table.from_pandas(df, preserve_index=False).replace_schema_metadata(None)
+        return pa.table({"tx": tx, "ty": ty})
 
-    distinct = (
-        docs.map_batches(tiles, batch_format="pyarrow")
-        .groupby(["tx", "ty"])
-        .aggregate(Count(alias_name="n"))
+    distinct = exchange_aggregate(
+        docs.map_batches(tiles, batch_format="pyarrow"), ["tx", "ty"], [], ["tx", "ty"]
     )
     rows = distinct.take_all()  # distinct z2 tiles: small
     span = SWISSGRID_5.span(2)
@@ -778,25 +757,20 @@ def q_density_tiles(sf_dir: str) -> ray.data.Dataset:
     def assign(batch: pa.Table) -> pa.Table:
         ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         ux, uy = micro_from_ids(ids)
-        parts = []
-        for z in range(5):
-            shift = np.uint64(32 - z - 8)
-            tx = ((ux >> shift) >> np.uint64(8)).astype(np.int64)
-            ty = ((uy >> shift) >> np.uint64(8)).astype(np.int64)
-            df = pd.DataFrame({"z": np.full(len(tx), z, dtype=np.int64), "x": tx, "y": ty})
-            parts.append(
-                pa.Table.from_pandas(
-                    df.groupby(["z", "x", "y"]).size().reset_index(name="n"),
-                    preserve_index=False,
-                ).replace_schema_metadata(None)
-            )
-        return pa.concat_tables(parts)
-
-    partials = docs.map_batches(assign, batch_format="pyarrow")
-    from tilecloud_chain_ray.util import exchange_aggregate
+        shifts = [np.uint64(32 - z - 8) for z in range(5)]
+        return pa.table(
+            {
+                "z": np.repeat(np.arange(5, dtype=np.int64), len(ids)),
+                "x": np.concatenate([(ux >> s) >> np.uint64(8) for s in shifts]).astype(np.int64),
+                "y": np.concatenate([(uy >> s) >> np.uint64(8) for s in shifts]).astype(np.int64),
+            }
+        )
 
     return exchange_aggregate(
-        partials, ["z", "x", "y"], [("n", "sum")], ["z", "x", "y", "n_points"]
+        docs.map_batches(assign, batch_format="pyarrow"),
+        ["z", "x", "y"],
+        [([], "count_all")],
+        ["z", "x", "y", "n_points"],
     )
 
 
@@ -819,8 +793,6 @@ def q_vectorize_pixels(sf_dir: str) -> ray.data.Dataset:
     layer = Layer(name="doc_density", grid=WEBMERC, meta=False)
     result = density_pyramid(docs, layer, zooms=[0, 1, 2, 3, 4], with_summary=False)
     pixels = vectorize_tiles(result.tiles, with_cells=False)
-    from tilecloud_chain_ray.util import exchange_aggregate
-
     # count_all: pixel rows carry no dedicated count column to count
     return exchange_aggregate(
         pixels.select_columns(["z", "x", "y"]),
@@ -836,19 +808,10 @@ def q_generate_point_hash(sf_dir: str) -> pa.Table:
     golden — 8 tiles survive hash-drop) plus the summary counters as
     extra rows keyed by name.  The oracle is the golden VALUES table,
     so the driver hash-verifies the full generate chain output."""
-    from tilecloud_chain_ray.config import Layer
-    from tilecloud_chain_ray.geom import MultiPoint, Point
     from tilecloud_chain_ray.pipelines.generate import generate_tiles
+    from tilecloud_chain_ray.sinks.wmts import run_counters
 
-    layer = Layer(
-        name="point_hash",
-        grid=SWISSGRID_5,
-        geometries=(MultiPoint((Point(600000, 200000), Point(530000, 150000))),),
-        meta=True,
-        meta_size=8,
-        meta_buffer=128,
-        min_resolution_seed=10,
-    )
+    layer = _point_hash_layer(meta=True)
     # ONE pipeline execution: pull the (tiny) tile table once and
     # derive both the counters and the stored-coordinate set from it
     # (with_summary=True would consume the lazy dataset a second time)
@@ -857,38 +820,23 @@ def q_generate_point_hash(sf_dir: str) -> pa.Table:
         b.select(["z", "x", "y", "status"])
         for b in result.tiles.iter_batches(batch_format="pyarrow")
     )
-    statuses = tbl["status"].to_pylist()
-    meta_dropped = statuses.count("meta_dropped")
-    n_dropped = statuses.count("dropped")
-    n_stored = statuses.count("stored")
-    generated = n_dropped + n_stored
-    s = {
-        "metatiles_generated": meta_dropped + generated // (layer.meta_size**2),
-        "metatiles_dropped": meta_dropped,
-        "tiles_generated": generated,
-        "tiles_dropped": n_dropped,
-        "tiles_stored": n_stored,
-    }
+    counts = collections.Counter(tbl["status"].to_pylist())
+    s = run_counters(counts, layer.meta_size, meta=True)
     stored = sorted(
         (int(r["z"]), int(r["x"]), int(r["y"]))
         for r in tbl.to_pylist()
         if r["status"] == "stored"
     )
-    kinds = [f"stored:{z}" for z, _, _ in stored] + [
+    names = [
         "metatiles_generated",
         "metatiles_dropped",
         "tiles_generated",
         "tiles_dropped",
         "tiles_stored",
     ]
-    xs = [x for _, x, _ in stored] + [
-        s["metatiles_generated"],
-        s["metatiles_dropped"],
-        s["tiles_generated"],
-        s["tiles_dropped"],
-        s["tiles_stored"],
-    ]
-    ys = [y for _, _, y in stored] + [0, 0, 0, 0, 0]
+    kinds = [f"stored:{z}" for z, _, _ in stored] + names
+    xs = [x for _, x, _ in stored] + [s[k] for k in names]
+    ys = [y for _, _, y in stored] + [0] * len(names)
     return pa.Table.from_pydict(
         {
             "kind": pa.array(kinds, pa.string()),
@@ -917,27 +865,27 @@ def q_sparse_metatile_counts(sf_dir: str) -> ray.data.Dataset:
     """S2 oracle: sparse metatile enumeration (unbuffered geometry
     intersection) per zoom over the point_hash fixture — the master-role
     seed set (reference master/slave test: 6 metatile jobs)."""
-    from ray.data.aggregate import Count
-
     from tilecloud_chain_ray.sources.enumerate import sparse_coord_dataset
 
     layer = _point_hash_layer(meta=True)
     coords = sparse_coord_dataset(layer)
-    return coords.groupby("z").aggregate(Count(alias_name="n_metatiles"))
+    return exchange_aggregate(
+        coords.select_columns(["z"]), ["z"], [([], "count_all")], ["z", "n_metatiles"]
+    )
 
 
 def q_geom_filter_counts(sf_dir: str) -> ray.data.Dataset:
     """M2 oracle: dense enumeration + buffered geometry filter per zoom
     (the local-role seed set; 128 px meta_buffer quirk included)."""
-    from ray.data.aggregate import Count
-
     from tilecloud_chain_ray.sources.enumerate import dense_coord_dataset
     from tilecloud_chain_ray.stages.geom_filter import add_geom_filter
 
     layer = _point_hash_layer(meta=True)
     coords = dense_coord_dataset(layer)
     coords = add_geom_filter(coords, layer)
-    return coords.groupby("z").aggregate(Count(alias_name="n_metatiles"))
+    return exchange_aggregate(
+        coords.select_columns(["z"]), ["z"], [([], "count_all")], ["z", "n_metatiles"]
+    )
 
 
 def q_fingerprints(sf_dir: str) -> ray.data.Dataset:
@@ -945,8 +893,6 @@ def q_fingerprints(sf_dir: str) -> ray.data.Dataset:
     grouped.  SQL-exact for ASCII text >= 8 bytes: the polynomial
     window hash (sum byte[j]*31^j mod 2^32) is plain BIGINT arithmetic
     over unicode(char) byte values in DuckDB (see __ray_entry__)."""
-    from ray.data.aggregate import Count
-
     from tilecloud_chain_ray.stages.text import fingerprint_batch
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
@@ -954,8 +900,6 @@ def q_fingerprints(sf_dir: str) -> ray.data.Dataset:
         lambda b: fingerprint_batch(b).select(["doc_id", "fingerprint"]),
         batch_format="pyarrow",
     )
-    from tilecloud_chain_ray.util import exchange_aggregate
-
     # fingerprint keys are ~one per distinct doc content — the worst
     # key space for a sort; count rides the task exchange
     return exchange_aggregate(
@@ -1179,8 +1123,6 @@ def q_decontam_counts(sf_dir: str) -> ray.data.Dataset:
     """Benchmark decontamination: per-lang count of corpus docs
     (doc_id >= 5) sharing any word-3-gram with the doc_id < 5 'eval
     set'."""
-    from ray.data.aggregate import Count
-
     from tilecloud_chain_ray.stages.curation import benchmark_shingles, decontaminate
 
     docs = _read(sf_dir, "documents", ["doc_id", "lang", "text"])
@@ -1193,17 +1135,16 @@ def q_decontam_counts(sf_dir: str) -> ray.data.Dataset:
         )
         return batch.select(["lang"]).filter(mask)
 
-    return (
-        flagged.map_batches(corpus_hits, batch_format="pyarrow")
-        .groupby("lang")
-        .aggregate(Count(alias_name="n_contaminated"))
+    return exchange_aggregate(
+        flagged.map_batches(corpus_hits, batch_format="pyarrow"),
+        ["lang"],
+        [([], "count_all")],
+        ["lang", "n_contaminated"],
     )
 
 
 def q_redaction_stats(sf_dir: str) -> ray.data.Dataset:
     """Number-scrubbing pass: per-lang total redactions + docs touched."""
-    from ray.data.aggregate import Count, Sum
-
     from tilecloud_chain_ray.stages.text import redact_batch
 
     docs = _read(sf_dir, "documents", ["lang", "text"])
@@ -1214,13 +1155,11 @@ def q_redaction_stats(sf_dir: str) -> ray.data.Dataset:
         out = red.select(["lang", "n_redactions"])
         return out.append_column("touched", touched)
 
-    return (
-        docs.map_batches(stats, batch_format="pyarrow")
-        .groupby("lang")
-        .aggregate(
-            Sum("n_redactions", alias_name="sum_redactions"),
-            Sum("touched", alias_name="n_docs_touched"),
-        )
+    return exchange_aggregate(
+        docs.map_batches(stats, batch_format="pyarrow"),
+        ["lang"],
+        [("n_redactions", "sum"), ("touched", "sum")],
+        ["lang", "sum_redactions", "n_docs_touched"],
     )
 
 
@@ -1247,10 +1186,11 @@ def q_repetition_counts(sf_dir: str) -> ray.data.Dataset:
         frac = scored["rep_frac"].to_numpy(zero_copy_only=False)
         return batch.select(["lang"]).filter(pa.array(frac > 0.01))
 
-    return (
-        docs.map_batches(repetitive, batch_format="pyarrow")
-        .groupby("lang")
-        .aggregate(Count(alias_name="n_repetitive"))
+    return exchange_aggregate(
+        docs.map_batches(repetitive, batch_format="pyarrow"),
+        ["lang"],
+        [([], "count_all")],
+        ["lang", "n_repetitive"],
     )
 
 
@@ -1285,27 +1225,12 @@ def q_curate_counts(sf_dir: str) -> ray.data.Dataset:
         bench_shingles=bench,
         sample_rates=SAMPLE_RATES,
     )
-    # per-block combiner -> tiny bounded-key task exchange: the direct
-    # Count/Sum groupby pays a full-width sort exchange over survivor
-    # rows (measured 2.5-3.0 s vs 2.05 s at sf0.1/32 cpus); partial
-    # rows are (blocks x langs)-scale
-    from tilecloud_chain_ray.util import hash_group_blocks
-
-    def rollup_partial(batch: pa.Table) -> pa.Table:
-        t = batch.group_by("lang").aggregate([("n_tokens", "count"), ("n_tokens", "sum")])
-        return t.rename_columns(["lang", "n_survivors", "sum_tokens"])
-
-    parts = result.survivors.select_columns(["lang", "n_tokens"]).map_batches(
-        rollup_partial, batch_format="pyarrow"
+    return exchange_aggregate(
+        result.survivors.select_columns(["lang", "n_tokens"]),
+        ["lang"],
+        [("n_tokens", "count"), ("n_tokens", "sum")],
+        ["lang", "n_survivors", "sum_tokens"],
     )
-
-    def sum_langs(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(["lang"]).aggregate(
-            [("n_survivors", "sum"), ("sum_tokens", "sum")]
-        )
-        return g.rename_columns(["lang", "n_survivors", "sum_tokens"])
-
-    return hash_group_blocks(parts, ["lang"], sum_langs)
 
 
 EVENT_TYPES = ("click", "error", "purchase", "signup", "view")
@@ -1329,8 +1254,6 @@ def q_user_event_pivot(sf_dir: str) -> ray.data.Dataset:
         ct.columns = [f"n_{t}" for t in EVENT_TYPES]
         return pa.Table.from_pandas(ct.reset_index(), preserve_index=False).replace_schema_metadata(None)
 
-    from tilecloud_chain_ray.util import exchange_aggregate
-
     # user_id is the corpus-sized key — task exchange, not a sort
     return exchange_aggregate(
         events.map_batches(partial_pivot, batch_format="pyarrow"),
@@ -1346,7 +1269,9 @@ def q_lang_source_rollup(sf_dir: str) -> ray.data.Dataset:
     groupby whose small result re-aggregates locally (coarser levels
     never re-scan the input)."""
     docs = _read(sf_dir, "documents", ["lang", "source"])
-    fine = docs.groupby(["lang", "source"]).aggregate(Count(alias_name="n"))
+    fine = exchange_aggregate(
+        docs, ["lang", "source"], [([], "count_all")], ["lang", "source", "n"]
+    )
 
     def widen_levels(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
@@ -1360,16 +1285,6 @@ def q_lang_source_rollup(sf_dir: str) -> ray.data.Dataset:
     # the fine table is (langs x sources) rows — tiny by construction;
     # coalesce to one block so the rollup levels are computed once
     return fine.repartition(1).map_batches(widen_levels, batch_format="pyarrow")
-
-
-def q_approx_users_per_type(sf_dir: str) -> ray.data.Dataset:
-    """Approximate distinct users per event type (grouped mergeable HLL
-    sketches — rows-only: approximate by design, accuracy pinned by
-    tests/test_extras vs the exact count)."""
-    from tilecloud_chain_ray.stages.sketch import grouped_approx_distinct
-
-    events = _read(sf_dir, "events", ["event_type", "user_id"])
-    return grouped_approx_distinct(events, "event_type", "user_id")
 
 
 def q_bloom_anti_join(sf_dir: str) -> ray.data.Dataset:

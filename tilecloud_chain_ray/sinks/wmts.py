@@ -12,12 +12,13 @@ at-least-once re-execution is safe.
 from __future__ import annotations
 
 import os
+from typing import Mapping
 
 import pyarrow as pa
 import ray
 
 from tilecloud_chain_ray.config import Layer
-from tilecloud_chain_ray.util import exchange_aggregate, process_cached
+from tilecloud_chain_ray.util import exchange_aggregate, process_cached, read_parquet_clean
 
 
 def tile_path(
@@ -132,20 +133,27 @@ def write_wmts(tiles: ray.data.Dataset, layer: Layer, root: str) -> ray.data.Dat
     return tiles.map_batches(write_fn, batch_format="pyarrow")
 
 
-def write_tiles_parquet(ds: ray.data.Dataset, out_dir: str) -> None:
-    """Partitioned tile table: one directory per zoom so a resumed run
-    (or a reader) can prune by zoom; never one giant file."""
+def write_tiles_parquet(ds: ray.data.Dataset, out_dir: str) -> ray.data.Dataset:
+    """Write the tile table (every row: statuses are kept for lineage)
+    partitioned by zoom, so a resumed run or a reader can prune by zoom,
+    never one giant file; returns the table read back."""
     ds.write_parquet(out_dir, partition_cols=["z"])
+    return read_parquet_clean(out_dir)
 
 
 def summarize(tiles: ray.data.Dataset, meta_size: int, meta: bool) -> dict[str, int]:
-    """Reference-style run counters from the in-band status column
-    (``generate.py:410-482`` summary block), counted through the task
-    exchange (:func:`~tilecloud_chain_ray.util.exchange_aggregate`)."""
+    """:func:`run_counters` of ``tiles``' status column, counted through
+    the task exchange (:func:`~tilecloud_chain_ray.util.exchange_aggregate`)."""
     by_status = exchange_aggregate(
         tiles.select_columns(["status"]), ["status"], [([], "count_all")], ["status", "n"]
     )
     counts = {r["status"]: r["n"] for r in by_status.take_all()}
+    return run_counters(counts, meta_size, meta)
+
+
+def run_counters(counts: Mapping[str, int], meta_size: int, meta: bool) -> dict[str, int]:
+    """Reference-style run counters (``generate.py:410-482`` summary
+    block) from the number of tile rows of each in-band status."""
     meta_dropped = counts.get("meta_dropped", 0)
     dropped = counts.get("dropped", 0)
     stored = counts.get("stored", 0)

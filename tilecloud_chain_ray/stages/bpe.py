@@ -148,7 +148,8 @@ def train_bpe(
         # the rest), and the sample's count and filtered scans read
         # the object store instead of re-running the upstream
         ds = ds.materialize()
-        if key_col not in ds.schema().names:
+        schema = ds.schema()  # None for an input with no block
+        if schema is None or key_col not in schema.names:
             key_col = "__text_key"
             ds = ds.map_batches(text_key(text_col, key_col), batch_format="pyarrow")
         tbl = hash_sample_rows(ds, sample_max_docs, key_col, cols=[text_col])

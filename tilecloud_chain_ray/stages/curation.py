@@ -178,10 +178,16 @@ def hash_sample_rows(
     total = ds.count()
     want_cols = cols
     if total <= n:
-        tbl = pa.Table.from_pylist(ds.take_all())
-        if want_cols:
-            tbl = tbl.select(want_cols)
-        return tbl
+        # every row, from the input's own Arrow blocks: an empty input
+        # keeps the column types its blocks carry.  A Ray map over an
+        # empty block returns a table with no columns, and an input may
+        # have no block at all, so a column such an input lost comes
+        # back as an empty null column.
+        blocks = ray.get(ds.materialize().to_arrow_refs())
+        tbl = pa.concat_tables(blocks, promote_options="default") if blocks else pa.table({})
+        if want_cols and tbl.num_rows == 0:
+            tbl = pa.table({c: tbl[c] if c in tbl.column_names else pa.nulls(0) for c in want_cols})
+        return tbl.select(want_cols) if want_cols else tbl
 
     def filtered(thr: int) -> pa.Table:
         def keep(batch: pa.Table) -> pa.Table:

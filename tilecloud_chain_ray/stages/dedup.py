@@ -73,7 +73,7 @@ def exact_dedup(
         batch_format="pyarrow",
     )
     # pure vectorized hash aggregation — never a per-group Python call;
-    # md5 keys are ~all-distinct so there is nothing to pre-combine,
+    # md5 keys are ~all-distinct, so the per-block combine saves little,
     # but the task exchange still beats the sort-groupby (no ordering
     # of the ~one-row groups, no zero-schema empty bundles)
     return exchange_aggregate(

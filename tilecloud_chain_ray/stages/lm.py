@@ -113,7 +113,9 @@ def train_char_lm(
     np.add.at(tri_counts, where, np.concatenate([np.empty(0, np.int64)] + [n for _, n in counted]))
     # bigram totals roll up from the trigram table (prefix of the key)
     bi_all = tri_keys >> np.uint32(8)
-    starts = np.flatnonzero(np.r_[True, bi_all[1:] != bi_all[:-1]])
+    first = np.ones(len(bi_all), dtype=bool)  # no trigram (empty input): no bigram
+    first[1:] = bi_all[1:] != bi_all[:-1]
+    starts = np.flatnonzero(first)
     bi_keys = bi_all[starts]
     bi_counts = np.add.reduceat(tri_counts, starts)
     return CharLM(tri_keys, tri_counts, bi_keys, bi_counts, alpha)

@@ -37,6 +37,10 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray
+
+from tilecloud_chain_ray.util import exchange_aggregate, hash_group_blocks
+
+
 def bucket_partials(
     ds: ray.data.Dataset,
     group_col: str,
@@ -58,16 +62,8 @@ def bucket_partials(
         out = df.groupby(["g", "bucket"], sort=False)["w"].sum().reset_index()
         return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
 
-    def sum_partition(batch: pa.Table) -> pa.Table:
-        t = batch.group_by(["g", "bucket"]).aggregate([("w", "sum")])
-        return t.rename_columns(["g", "bucket", "w"])
-
-    # task exchange, not sort-groupby: the sort path emits zero-schema
-    # bundles for empty sort ranges (see util.hash_group_blocks)
-    from tilecloud_chain_ray.util import hash_group_blocks
-
     partials = ds.map_batches(partial, batch_format="pyarrow")
-    return hash_group_blocks(partials, ["g", "bucket"], sum_partition)
+    return exchange_aggregate(partials, ["g", "bucket"], [("w", "sum")], ["g", "bucket", "w"])
 
 
 def pack_shards(
@@ -166,8 +162,6 @@ def pack_shards(
                 shard_col: pa.array(excl // budget, pa.int64()),
             }
         )
-
-    from tilecloud_chain_ray.util import hash_group_blocks
 
     bucketed = ds.map_batches(add_bucket, batch_format="pyarrow")
     return hash_group_blocks(bucketed, [group_col, "_bucket"], apply_scan)

@@ -15,7 +15,6 @@ import zlib
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
 
 # stopword markers per language, counted as substrings with surrounding
 # spaces (exactly `(length(t) - length(replace(t, m, ''))) / length(m)`
@@ -190,14 +189,3 @@ def redact_batch(
     red = pc.replace_substring_regex(batch[text_col], pattern, replacement)
     out = batch.append_column("n_redactions", n)
     return out.append_column(out_col, red)
-
-
-def analyze_documents(ds: ray.data.Dataset, text_col: str = "text") -> ray.data.Dataset:
-    """token count + lang id + quality in one vectorized pass."""
-
-    def analyze(batch: pa.Table) -> pa.Table:
-        batch = token_count_batch(batch, text_col)
-        batch = lang_id_batch(batch, text_col)
-        return quality_score_batch(batch, text_col)
-
-    return ds.map_batches(analyze, batch_format="pyarrow")

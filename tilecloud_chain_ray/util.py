@@ -492,16 +492,39 @@ def hash_group_blocks(ds, keys, kernel, num_partitions=None):
     return ray.data.from_arrow_refs(out_refs)
 
 
+# the Acero aggregates ``exchange_aggregate`` takes, each with the one
+# that re-aggregates its per-block partials
+_COMBINE = {"count_all": "sum", "count": "sum", "sum": "sum", "min": "min", "max": "max"}
+
+
 def exchange_aggregate(ds, keys, aggs, names):
-    """Bounded-boilerplate grouped aggregate on :func:`hash_group_blocks`:
-    one Acero ``group_by(keys).aggregate(aggs)`` kernel per non-empty
-    hash partition (pyarrow puts the key columns first, then one column
-    per agg — ``names`` renames that full output).  Drop-in for
-    ``ds.groupby(keys).aggregate(...)`` when the caller already ships
-    per-block partials: same exactness, no sort, no zero-schema empty
-    bundles, and the exchange width is sized as in :func:`exchange_refs`."""
+    """Grouped aggregate on :func:`hash_group_blocks`: Acero
+    ``group_by(keys).aggregate(aggs)``, with each agg's function one of
+    ``_COMBINE`` (``count_all``, ``count``, ``sum``, ``min``, ``max``;
+    no agg is a distinct).  pyarrow puts the key columns first, then
+    one column per agg — ``names`` renames that full output.  Drop-in
+    for ``ds.groupby(keys).aggregate(...)``: same exactness, no sort,
+    no zero-schema empty bundles, and the exchange width is sized as in
+    :func:`exchange_refs`.
+
+    Each input block is first aggregated on its own, in a map fused
+    with its producer, so the exchange moves at most one row per key
+    per block (as Ray's sort aggregate combines each block before its
+    shuffle); the kernel of each hash partition re-aggregates those
+    partials (a count becomes a sum)."""
 
     import pyarrow as pa
+
+    keys, names = list(keys), list(names)
+    parts = [f"_part{i}" for i in range(len(aggs))]
+    block_aggs = list(aggs)
+    for _, fn in block_aggs:
+        if fn not in _COMBINE:
+            raise ValueError(f"exchange_aggregate: no per-block combine for {fn!r}")
+    merge_aggs = [(p, _COMBINE[fn]) for p, (_, fn) in zip(parts, block_aggs)]
+
+    def partial(t):
+        return t.group_by(keys).aggregate(block_aggs).rename_columns(keys + parts)
 
     def kernel(t):
         if t.num_rows == 0 and not set(keys) <= set(t.column_names):
@@ -510,6 +533,7 @@ def exchange_aggregate(ds, keys, aggs, names):
             # the UDF), so the key types are unrecoverable — degrade to
             # a typed-empty-less result instead of an Acero crash
             return pa.table({})
-        return t.group_by(list(keys)).aggregate(list(aggs)).rename_columns(list(names))
+        return t.group_by(keys).aggregate(merge_aggs).rename_columns(names)
 
-    return hash_group_blocks(ds, list(keys), kernel)
+    partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
+    return hash_group_blocks(partials, keys, kernel)
