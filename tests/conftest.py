@@ -91,6 +91,19 @@ def count_executions():
 
 
 @pytest.fixture(scope="session")
+def map_operators():
+    """``map_operators(executor)`` names the map operators an execution
+    recorded by ``count_executions`` ran (fused chains count once), so a
+    test can pin that consuming a Dataset maps nothing."""
+    from ray.data._internal.execution.operators.map_operator import MapOperator
+
+    def names(executor) -> list[str]:
+        return [op.name for op in executor._topology if isinstance(op, MapOperator)]
+
+    return names
+
+
+@pytest.fixture(scope="session")
 def actor_pools():
     """``actor_pools(ds)`` lists the operators of ``ds``'s logical plan
     that Ray Data would run as an actor pool (every input of a union

@@ -90,12 +90,15 @@ def test_curate_corpus_near_dedup():
 
 
 @pytest.mark.parametrize("cluster", [False, True])
-def test_curate_near_dedup_one_execution_before_consumption(count_executions, on_cluster, cluster):
+def test_curate_near_dedup_one_execution_before_consumption(
+    count_executions, map_operators, on_cluster, cluster
+):
     """The read chain is the only Ray Data execution before the caller
     consumes the near-dedup survivors on the driver placement (exact
-    dedup, banding, candidates, verify and union-find run on block
-    refs), and both placements keep the manual pairs -> components ->
-    min-key survivors."""
+    dedup, banding, candidates, verify, union-find and the drop filter
+    run on block refs), consuming them there runs no map operator, and
+    both placements keep the manual pairs -> components -> min-key
+    survivors."""
     import contextlib
 
     from tilecloud_chain_ray.stages.components import connected_components
@@ -114,9 +117,11 @@ def test_curate_near_dedup_one_execution_before_consumption(count_executions, on
         with count_executions() as calls:
             near = curate_corpus(docs, quality_min=0.0, near_dedup_threshold=0.8)
         before = len(calls)
-        got = set(near.survivors.to_pandas()["doc_id"])
+        with count_executions() as calls:
+            got = set(near.survivors.to_pandas()["doc_id"])
     if not cluster:
         assert before == 1
+        assert [map_operators(c) for c in calls] == [[]]
     assert got == set(exact_df["doc_id"]) - dropped
 
 

@@ -170,6 +170,46 @@ def test_density_pyramid_out_wmts(tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
+def test_density_pyramid_tiles_are_computed_in_the_call(tmp_path, count_executions, map_operators):
+    """density_pyramid renders, hash-drops and writes its tiles inside
+    the call, which is one Ray Data execution (the fused read ->
+    geocode -> partials) with the default summary.  Consuming the tiles
+    is one more execution with no map operator, and it rewrites no
+    stored tile."""
+    import ray
+
+    from tilecloud_chain_ray.config import Layer
+    from tilecloud_chain_ray.grid import WEBMERC
+    from tilecloud_chain_ray.pipelines.density import density_pyramid
+    from tilecloud_chain_ray.stages.geocode import make_geocoder
+
+    docs = ray.data.range(2000).map_batches(
+        lambda b: b.rename_columns(["doc_id"]), batch_format="pyarrow"
+    ).map_batches(make_geocoder(WEBMERC.bbox, "doc_id", cell_res=12), batch_format="pyarrow")
+    lay = Layer(name="doc_density", grid=WEBMERC, meta=False)
+    wmts = str(tmp_path / "wmts")
+
+    def stamps() -> dict:
+        return {
+            os.path.join(d, f): os.stat(os.path.join(d, f)).st_mtime_ns
+            for d, _, names in os.walk(wmts)
+            for f in names
+        }
+
+    with count_executions() as calls:
+        result = density_pyramid(docs, lay, zooms=[0, 1], out_wmts=wmts)
+    assert len(calls) == 1
+    written = stamps()
+    assert written and result.summary["tiles_stored"] == len(written)
+
+    with count_executions() as calls:
+        rows = result.tiles.take_all()
+    assert len(calls) == 1 and map_operators(calls[0]) == []
+    assert stamps() == written
+    assert sum(r["status"] == "stored" for r in rows) == len(written)
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_curate_resumable_fail_then_resume(tmp_path):
     """Kill one input shard of the curation chain mid-run; the resume
     must skip committed shards (unchanged lineage timestamps, raw text

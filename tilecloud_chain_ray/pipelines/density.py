@@ -14,6 +14,7 @@ cell-count rollups — no re-binning of raw rows per zoom.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Sequence
 
 import numpy as np
@@ -22,15 +23,13 @@ import ray
 
 from tilecloud_chain_ray.config import Layer
 from tilecloud_chain_ray.functions.cells import cell_decode
-from tilecloud_chain_ray.sinks.wmts import summarize, write_tiles_parquet, write_wmts
+from tilecloud_chain_ray.sinks.wmts import run_counters, wmts_write_fn, write_tiles_parquet
 from tilecloud_chain_ray.stages.hashdrop import (
     empty_signatures,
     finalize_tiles,
     make_hash_dropper,
 )
-from tilecloud_chain_ray.util import hash_group_blocks
-
-PARTIALS_BATCH_SIZE = 65536  # geocoded rows per pixel_partials call
+from tilecloud_chain_ray.util import block_refs, hash_group_blocks, map_refs
 
 
 def pixel_partials(cells: np.ndarray, zooms: Sequence[int]) -> pa.Table:
@@ -86,17 +85,19 @@ def density_tiles(
 ) -> ray.data.Dataset:
     """Pixel partials (:func:`pixel_partials` rows) -> finalized tile
     rows: assemble, render + PNG, hash-drop, finalize, and with
-    ``out_wmts`` the WMTS write.  The tail of both density pyramids.
+    ``out_wmts`` the WMTS write.  The tail of both density pyramids;
+    the tiles are computed when it returns.
 
     The partials move through one task exchange keyed on the packed
     tile id (util.hash_group_blocks, at
-    :func:`~tilecloud_chain_ray.util.exchange_width`): each merge task sums every tile of its partition in one
-    vectorized pass, so the per-call overhead amortizes over many
-    tiles — never one Ray group per tile, which Ray's sort groupby
+    :func:`~tilecloud_chain_ray.util.exchange_width`), and the whole
+    tail is its kernel: each merge task sums every tile of its
+    partition in one vectorized pass and renders, drops, finalizes and
+    writes those tiles, so render parallelism is one task per non-empty
+    partition and no map stage or Ray Data execution follows the
+    exchange — never one Ray group per tile, which Ray's sort groupby
     packed into a handful of blocks (observed: effective parallelism
-    ~1) — and the exchange can widen as far as its input's bytes ask.
-    The encode stage downstream sees one block per non-empty partition,
-    so its parallelism follows the exchange width.
+    ~1).
 
     PNG level: user-pinned empty_tile_detection hashes (jobs/tcr.py
     get-hash) are computed at the level-6 encoding, and encoding at any
@@ -109,95 +110,58 @@ def density_tiles(
     png_level = 6 if layer.empty_tile is not None else 3
     ts = layer.grid.tile_size
     color = layer_color(layer.name)
+    _, empty_tile = empty_signatures(layer, png_level=png_level)
+    drop = make_hash_dropper(layer.empty_tile or empty_tile, "dropped")
+    write = wmts_write_fn(layer, out_wmts) if out_wmts is not None else None
 
-    def assemble_partition(t: pa.Table) -> pa.Table:
-        """Sum duplicate pixels and emit ONE ROW PER TILE carrying its
-        pixel arrays — the cheap reduce leg.  PNG encoding is NOT done
-        here: one merge task per hash partition (util.hash_group_blocks)
-        emits tile rows so the encode stage re-splits into small
-        map_batches tasks at full parallelism (the round-2 bench
-        measured the render leg flat at 8 vs 32 cpus when it ran at
-        sorted-block parallelism)."""
-        if t.num_rows == 0:
-            return pa.Table.from_pydict(
-                {
-                    "z": pa.array([], pa.int32()),
-                    "x": pa.array([], pa.int64()),
-                    "y": pa.array([], pa.int64()),
-                    "pix": pa.array([], pa.binary()),
-                    "pns": pa.array([], pa.binary()),
-                }
-            )
-        full = (t["tile"].to_numpy().astype(np.uint64) << np.uint64(16)) | t[
-            "pix"
-        ].to_numpy().astype(np.uint64)
-        n = t["n"].to_numpy()
-        order = np.argsort(full, kind="stable")
-        full, n = full[order], n[order]
-        # collapse duplicate (tile, pixel) keys
-        newpix = np.flatnonzero(np.r_[True, full[1:] != full[:-1]])
-        sums = np.add.reduceat(n, newpix)
-        full = full[newpix]
-        pix = (full & np.uint64(0xFFFF)).astype(np.int64)  # pcol<<8 | prow
-        tile_key = full >> np.uint64(16)
-        ty = (tile_key & np.uint64((1 << 22) - 1)).astype(np.int64)
-        tx = ((tile_key >> np.uint64(22)) & np.uint64((1 << 22) - 1)).astype(np.int64)
-        z = (tile_key >> np.uint64(44)).astype(np.int64)
-        starts = np.flatnonzero(np.r_[True, tile_key[1:] != tile_key[:-1]])
-        ends = np.r_[starts[1:], len(tile_key)]
-        return pa.Table.from_pydict(
-            {
-                "z": pa.array(z[starts].astype(np.int32), pa.int32()),
-                "x": pa.array(tx[starts], pa.int64()),
-                "y": pa.array(ty[starts], pa.int64()),
-                # packed byte payloads (uint16 pixel ids, int64 counts):
-                # binary cells move as buffers, no per-element Python
-                "pix": pa.array(
-                    [pix[s:e].astype(np.uint16).tobytes() for s, e in zip(starts, ends)],
-                    pa.binary(),
-                ),
-                "pns": pa.array(
-                    [sums[s:e].tobytes() for s, e in zip(starts, ends)], pa.binary()
-                ),
-            }
-        )
-
-    def render_tiles(batch: pa.Table) -> pa.Table:
-        zs = batch["z"].to_numpy(zero_copy_only=False)
-        xs = batch["x"].to_numpy(zero_copy_only=False)
-        ys = batch["y"].to_numpy(zero_copy_only=False)
+    def render_partition(t: pa.Table) -> pa.Table:
+        """Sum duplicate pixels, then one PNG row per tile."""
+        z = x = y = np.zeros(0, np.int64)
         blobs = []
-        pix_col = batch["pix"].to_pylist()
-        pns_col = batch["pns"].to_pylist()
-        for i in range(batch.num_rows):
-            pix = np.frombuffer(pix_col[i], dtype=np.uint16).astype(np.int64)
-            pns = np.frombuffer(pns_col[i], dtype=np.int64)
-            img = render_density_image(pix >> 8, pix & 255, pns, ts, color)
-            blobs.append(encode_png(img, level=png_level))
+        if t.num_rows:
+            full = (t["tile"].to_numpy().astype(np.uint64) << np.uint64(16)) | t[
+                "pix"
+            ].to_numpy().astype(np.uint64)
+            n = t["n"].to_numpy()
+            order = np.argsort(full, kind="stable")
+            full, n = full[order], n[order]
+            # collapse duplicate (tile, pixel) keys
+            newpix = np.flatnonzero(np.r_[True, full[1:] != full[:-1]])
+            sums = np.add.reduceat(n, newpix)
+            full = full[newpix]
+            pix = (full & np.uint64(0xFFFF)).astype(np.int64)  # pcol<<8 | prow
+            tile_key = full >> np.uint64(16)
+            starts = np.flatnonzero(np.r_[True, tile_key[1:] != tile_key[:-1]])
+            ends = np.r_[starts[1:], len(tile_key)]
+            first = tile_key[starts]
+            z = (first >> np.uint64(44)).astype(np.int64)
+            x = ((first >> np.uint64(22)) & np.uint64((1 << 22) - 1)).astype(np.int64)
+            y = (first & np.uint64((1 << 22) - 1)).astype(np.int64)
+            blobs = [
+                encode_png(
+                    render_density_image(pix[s:e] >> 8, pix[s:e] & 255, sums[s:e], ts, color),
+                    level=png_level,
+                )
+                for s, e in zip(starts, ends)
+            ]
         return pa.Table.from_pydict(
             {
                 "layer": pa.array([layer.name] * len(blobs), pa.string()),
                 "grid": pa.array([layer.grid.name] * len(blobs), pa.string()),
-                "z": pa.array(zs.astype(np.int32), pa.int32()),
-                "x": pa.array(xs, pa.int64()),
-                "y": pa.array(ys, pa.int64()),
+                "z": pa.array(z.astype(np.int32), pa.int32()),
+                "x": pa.array(x, pa.int64()),
+                "y": pa.array(y, pa.int64()),
                 "n": pa.array(np.ones(len(blobs), dtype=np.int32), pa.int32()),
                 "data": pa.array(blobs, pa.binary()),
                 "content_type": pa.array(["image/png"] * len(blobs), pa.string()),
             }
         )
 
-    assembled = hash_group_blocks(partials, ["tile"], assemble_partition)
-    _, empty_tile = empty_signatures(layer, png_level=png_level)
-    tiles = assembled.map_batches(render_tiles, batch_format="pyarrow")
-    tiles = tiles.map_batches(
-        make_hash_dropper(layer.empty_tile or empty_tile, "dropped"),
-        batch_format="pyarrow",
-    )
-    tiles = tiles.map_batches(finalize_tiles, batch_format="pyarrow")
-    if out_wmts is not None:
-        tiles = write_wmts(tiles, layer, out_wmts)
-    return tiles
+    def tail(t: pa.Table) -> pa.Table:
+        tiles = finalize_tiles(drop(render_partition(t)))
+        return write(tiles) if write is not None else tiles
+
+    return hash_group_blocks(partials, ["tile"], tail)
 
 
 def density_pyramid(
@@ -210,7 +174,8 @@ def density_pyramid(
     with_summary: bool = True,
 ):
     """Full density pyramid for the given zooms (finest first not
-    required).  Returns (tiles_dataset, summary_dict).
+    required).  Returns (tiles_dataset, summary_dict); the tiles are
+    computed (and written) when it returns.
 
     The assembly exchange (see :func:`density_tiles`) runs at
     :func:`~tilecloud_chain_ray.util.exchange_width`: one partition per
@@ -220,19 +185,28 @@ def density_pyramid(
 
     assert not layer.meta, "density tiles are rendered per-tile (meta=False)"
 
-    # ONE pass over the raw rows: per-batch partial pixel counts for
-    # every zoom at once (only (tile, pixel, n) partials cross the
-    # wire), then ONE task exchange whose merge kernel sums duplicate
-    # pixels and the encode stage renders the PNGs — no intermediate
-    # cell-count shuffle, no second group pass.
+    # ONE pass over the raw rows: per-block partial pixel counts for
+    # every zoom at once, fused into the read tasks (only (tile, pixel,
+    # n) partials cross the wire), then ONE task exchange whose merge
+    # kernel sums duplicate pixels and renders the PNGs — no
+    # intermediate cell-count shuffle, no second group pass.
     def partials_of(batch: pa.Table) -> pa.Table:
         return pixel_partials(batch[cell_col].to_numpy(zero_copy_only=False), zooms)
 
-    partials = geocoded.map_batches(
-        partials_of, batch_format="pyarrow", batch_size=PARTIALS_BATCH_SIZE
-    )
+    partials = geocoded.map_batches(partials_of, batch_format="pyarrow", batch_size=None)
     tiles = density_tiles(partials, layer, out_wmts=out_wmts)
+    summary = {}
+    if with_summary:
+        # the tiles are computed: count statuses on their blocks in place
+        refs, _, _ = block_refs(tiles.materialize())
+        counts = Counter()
+        for part in ray.get(map_refs(refs, _status_counts)):
+            counts.update(part)
+        summary = run_counters(counts, layer.meta_size, meta=False)
     if out_parquet is not None:
         tiles = write_tiles_parquet(tiles, out_parquet)
-    summary = summarize(tiles, layer.meta_size, meta=False) if with_summary else {}
     return GenerateResult(tiles=tiles, summary=summary)
+
+
+def _status_counts(t: pa.Table) -> Counter:
+    return Counter(t["status"].to_pylist())

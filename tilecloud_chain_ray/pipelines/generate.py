@@ -147,7 +147,7 @@ def generate_tiles(
         from tilecloud_chain_ray.sources.tiles_file import tiles_file_dataset
 
         coords = tiles_file_dataset(tiles_file, layer.name, layer.grid.name)
-        coords = add_geom_filter(coords, layer, geoms=geoms, batch_size=None)
+        coords = add_geom_filter(coords, layer, geoms=geoms)
     elif test_n is not None:
         # --test N (reference __init__.py:2389-2391): take the first N
         # (meta)tile coords in enumeration order.  Driver-side so the
@@ -186,11 +186,7 @@ def generate_tiles(
         zoom_list = list(zooms) if zooms is not None else layer.seed_zooms()
         intervals = list(dense_intervals(layer, geoms, zoom_list))
         coords = dense_coord_dataset(layer, intervals=intervals)
-        # whole-block batches: the source's blocks are its tasks (one
-        # per core, raised per enumerate.BLOCK_UNIT coords), and a
-        # row-count batch size would let the bundler merge them back
-        # into one fused task
-        coords = add_geom_filter(coords, layer, geoms=geoms, batch_size=None)
+        coords = add_geom_filter(coords, layer, geoms=geoms)
     coords = add_dimensions(coords, layer)
 
     empty_meta = layer.empty_metatile

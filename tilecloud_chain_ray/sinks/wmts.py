@@ -121,16 +121,22 @@ class WmtsWriter:
         return batch
 
 
-def write_wmts(tiles: ray.data.Dataset, layer: Layer, root: str) -> ray.data.Dataset:
-    """Write the stored rows of ``tiles`` under ``root`` and pass every
-    row on: a task map over one :class:`WmtsWriter` per worker process
-    (it keeps the filesystem and the directories it has made)."""
+def wmts_write_fn(layer: Layer, root: str):
+    """Batch kernel: the :class:`WmtsWriter` of ``(layer, root)`` held
+    once per worker process (it keeps the filesystem and the
+    directories it has made)."""
     key = ("wmts_writer", layer.name, root)
 
     def write_fn(batch: pa.Table) -> pa.Table:
         return process_cached(key, lambda: WmtsWriter(layer, root))(batch)
 
-    return tiles.map_batches(write_fn, batch_format="pyarrow")
+    return write_fn
+
+
+def write_wmts(tiles: ray.data.Dataset, layer: Layer, root: str) -> ray.data.Dataset:
+    """Write the stored rows of ``tiles`` under ``root`` and pass every
+    row on, as a task map of :func:`wmts_write_fn`."""
+    return tiles.map_batches(wmts_write_fn(layer, root), batch_format="pyarrow")
 
 
 def write_tiles_parquet(ds: ray.data.Dataset, out_dir: str) -> ray.data.Dataset:

@@ -52,7 +52,7 @@ import pyarrow as pa
 import ray
 from ray.data.aggregate import Sum
 
-from tilecloud_chain_ray.util import exchange_aggregate, fits_driver
+from tilecloud_chain_ray.util import exchange_aggregate, fits_driver, map_refs
 
 
 def _union_find_driver(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -248,41 +248,49 @@ def near_dedup_refs(
 ) -> ray.data.Dataset:
     """MinHash near-dedup of the document blocks ``refs`` (``n_rows``
     rows in all): the docs with one survivor per near-dup cluster (the
-    min key) and every doc outside a cluster, as a lazy Dataset.
+    min key) and every doc outside a cluster.
 
     The pairs come from ``stages.dedup._verified_pairs`` on the refs.
     On the driver placement they arrive as a table and are union-found
     right there: a pair table small enough for the driver verify (8 KiB
     a candidate) fits the union-find (16 B a pair) too, so the drop set
-    goes straight to the broadcast filter, and nothing between the
+    filters the blocks as one plain task each (``util.map_refs``), and
+    the survivors come back as computed blocks: nothing between the
     exact-dedup refs and the caller's consumption runs a Ray Data
-    execution.  On the cluster placement the pairs are a Dataset and go
-    through :func:`near_dedup_survivors`."""
+    execution, and the consumption runs no map.  On the cluster
+    placement the pairs are a Dataset and go through
+    :func:`near_dedup_survivors`."""
     from tilecloud_chain_ray.stages.dedup import _verified_pairs
 
     pairs = _verified_pairs(refs, n_rows, key_col, text_col, threshold)
-    docs = ray.data.from_arrow_refs(refs)
     if not isinstance(pairs, pa.Table):
-        return near_dedup_survivors(docs, pairs, key_col)
+        return near_dedup_survivors(ray.data.from_arrow_refs(refs), pairs, key_col)
     nodes, comp = _union_find_driver(
         pairs["key_a"].to_numpy(zero_copy_only=False), pairs["key_b"].to_numpy(zero_copy_only=False)
     )
-    return _drop_sorted(docs, nodes[nodes != comp], key_col)
+    drops = nodes[nodes != comp]
+    if len(drops):
+        refs = map_refs(refs, _drop_keys, ray.put(drops), key_col)
+    return ray.data.from_arrow_refs(refs)
+
+
+def _drop_keys(batch: pa.Table, drops: np.ndarray, key_col: str) -> pa.Table:
+    """``batch`` without the rows whose key is in the sorted ``drops``
+    (one searchsorted)."""
+    keys = batch[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    pos = np.searchsorted(drops, keys)
+    hit = (pos < len(drops)) & (drops[np.minimum(pos, len(drops) - 1)] == keys)
+    return batch.filter(pa.array(~hit))
 
 
 def _drop_sorted(docs: ray.data.Dataset, drops: np.ndarray, key_col: str) -> ray.data.Dataset:
     """``docs`` without the rows whose key is in the sorted ``drops``,
-    broadcast once via ``ray.put``; each batch filters with one
-    searchsorted."""
+    broadcast once via ``ray.put``."""
     if len(drops) == 0:
         return docs
     drop_ref = ray.put(drops)
 
     def keep(batch: pa.Table) -> pa.Table:
-        drops = ray.get(drop_ref)
-        keys = batch[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        pos = np.searchsorted(drops, keys)
-        hit = (pos < len(drops)) & (drops[np.minimum(pos, len(drops) - 1)] == keys)
-        return batch.filter(pa.array(~hit))
+        return _drop_keys(batch, ray.get(drop_ref), key_col)
 
     return docs.map_batches(keep, batch_format="pyarrow")

@@ -60,10 +60,10 @@ def geocode_dataset(
     bbox: tuple[float, float, float, float],
     key_column: str = "doc_id",
     cell_res: int = 14,
-    batch_size: int = 16384,
 ) -> ray.data.Dataset:
+    """Geocode every block of ``ds`` in one call, so the map fuses into
+    its producer (a row-count batch size behind a row-changing operator
+    would stop Ray from fusing it and re-bundle the blocks)."""
     return ds.map_batches(
-        make_geocoder(bbox, key_column, cell_res),
-        batch_format="pyarrow",
-        batch_size=batch_size,
+        make_geocoder(bbox, key_column, cell_res), batch_format="pyarrow", batch_size=None
     )

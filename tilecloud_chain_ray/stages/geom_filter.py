@@ -63,7 +63,6 @@ def add_geom_filter(
     ds: ray.data.Dataset,
     layer: Layer,
     geoms: Mapping[int, Geometry] | None = None,
-    batch_size: int | None = 8192,
 ) -> ray.data.Dataset:
     """Wire the filter as a task stage with per-process state.
 
@@ -83,8 +82,4 @@ def add_geom_filter(
         )
         return stage(batch)
 
-    return ds.map_batches(
-        filter_fn,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
+    return ds.map_batches(filter_fn, batch_format="pyarrow", batch_size=None)

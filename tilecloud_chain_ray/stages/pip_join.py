@@ -129,7 +129,6 @@ def pip_join(
     ds: ray.data.Dataset,
     layers: list[tuple[str, Geometry]],
     mode: str = "left",
-    batch_size: int = 16384,
     cache_key: str | None = None,
     x_col: str = "x",
     y_col: str = "y",
@@ -139,7 +138,8 @@ def pip_join(
     worker process (``process_cached``) from a single broadcast
     ``ray.put``, and Ray schedules the stage as ordinary fused tasks on
     warm workers, with no actor-pool start-up (~1-2 s flat, which
-    dominates small jobs)."""
+    dominates small jobs).  Each call sees a whole block, so the map
+    fuses into its producer's tasks (one per block)."""
     from tilecloud_chain_ray.util import process_cached
 
     layers_ref = ray.put(layers)
@@ -155,4 +155,4 @@ def pip_join(
         st = process_cached(key, lambda: PIPJoin(layers_ref, **kw))
         return st(batch)
 
-    return ds.map_batches(fn, batch_format="pyarrow", batch_size=batch_size)
+    return ds.map_batches(fn, batch_format="pyarrow", batch_size=None)

@@ -466,7 +466,8 @@ def hash_group_blocks(ds, keys, kernel, num_partitions=None):
     """Key-co-located block mapping on a Dataset: ``ds`` materialized,
     run through :func:`exchange_refs` (``kernel`` once per non-empty
     hash partition, width from the blocks' metadata bytes) and wrapped
-    back into a Dataset of the non-empty outputs.
+    back into a Dataset of the non-empty outputs.  Per-partition work
+    after the exchange goes in ``kernel``, not in a map on its output.
 
     Why not ``groupby().map_groups``: the sort-based path emits
     (0 rows, 0 cols) bundles for empty sort ranges (duplicate sampled
