@@ -144,9 +144,13 @@ def test_density_resumable_rejects_too_fine_zoom(tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_density_pyramid_out_wmts(tmp_path):
+def test_density_pyramid_out_wmts(tmp_path, count_executions, map_operators):
     """density_pyramid(out_wmts=...) writes a WMTS layout a tile can be
-    read back from (regression: missing process_cached import)."""
+    read back from (regression: missing process_cached import).  It
+    renders, hash-drops and writes inside the call, which is one Ray
+    Data execution (the fused read -> geocode -> partials) with the
+    default summary; consuming the tiles is one more execution with no
+    map operator, and it rewrites no stored tile."""
     import ray
 
     from tilecloud_chain_ray.config import Layer
@@ -160,32 +164,6 @@ def test_density_pyramid_out_wmts(tmp_path):
     ).map_batches(
         make_geocoder(WEBMERC.bbox, "doc_id", cell_res=12), batch_format="pyarrow"
     )
-    lay = Layer(name="doc_density", grid=WEBMERC, meta=False)
-    wmts = str(tmp_path / "wmts")
-    result = density_pyramid(docs, lay, zooms=[0, 1], out_wmts=wmts)
-    stored = [r for r in result.tiles.take_all() if r["status"] == "stored"]
-    assert stored, "no tiles stored"
-    resp = get_tile_fs(wmts, lay, 0, 0, 0)
-    assert resp.status == 200 and resp.data and resp.data[:8] == b"\x89PNG\r\n\x1a\n"
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_density_pyramid_tiles_are_computed_in_the_call(tmp_path, count_executions, map_operators):
-    """density_pyramid renders, hash-drops and writes its tiles inside
-    the call, which is one Ray Data execution (the fused read ->
-    geocode -> partials) with the default summary.  Consuming the tiles
-    is one more execution with no map operator, and it rewrites no
-    stored tile."""
-    import ray
-
-    from tilecloud_chain_ray.config import Layer
-    from tilecloud_chain_ray.grid import WEBMERC
-    from tilecloud_chain_ray.pipelines.density import density_pyramid
-    from tilecloud_chain_ray.stages.geocode import make_geocoder
-
-    docs = ray.data.range(2000).map_batches(
-        lambda b: b.rename_columns(["doc_id"]), batch_format="pyarrow"
-    ).map_batches(make_geocoder(WEBMERC.bbox, "doc_id", cell_res=12), batch_format="pyarrow")
     lay = Layer(name="doc_density", grid=WEBMERC, meta=False)
     wmts = str(tmp_path / "wmts")
 
@@ -203,10 +181,11 @@ def test_density_pyramid_tiles_are_computed_in_the_call(tmp_path, count_executio
     assert written and result.summary["tiles_stored"] == len(written)
 
     with count_executions() as calls:
-        rows = result.tiles.take_all()
+        stored = [r for r in result.tiles.take_all() if r["status"] == "stored"]
     assert len(calls) == 1 and map_operators(calls[0]) == []
-    assert stamps() == written
-    assert sum(r["status"] == "stored" for r in rows) == len(written)
+    assert stamps() == written and len(stored) == len(written)
+    resp = get_tile_fs(wmts, lay, 0, 0, 0)
+    assert resp.status == 200 and resp.data and resp.data[:8] == b"\x89PNG\r\n\x1a\n"
 
 
 @pytest.mark.usefixtures("ray_session")
